@@ -16,7 +16,7 @@ from scipy.optimize import minimize
 
 from .errors import BadExponent, GridTooCoarse, MixedEigenspace, NonZeroMean
 from .lattice import EigenspaceInfo, classify_eigenspace
-from .spectral import Grid, RealField, SpectralField, analyze, synthesize
+from .spectral import Grid, RealField, SpectralField, _as_real, _as_spectral, synthesize
 
 __all__ = [
     "EigenstateCoeffs",
@@ -195,7 +195,7 @@ def _wrap_to_cell(p: np.ndarray, info: EigenspaceInfo) -> np.ndarray:
     return s * np.asarray(info.basis.xi) + t * np.asarray(info.basis.eta)
 
 
-def _orbit_distance_l2(f: RealField, c: EigenstateCoeffs) -> tuple[float, np.ndarray]:
+def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np.ndarray]:
     """Exact translation-minimized L2 distance.
 
     In mode space a translation is a per-mode phase, so the squared
@@ -204,9 +204,8 @@ def _orbit_distance_l2(f: RealField, c: EigenstateCoeffs) -> tuple[float, np.nda
     tied to the first two) needs a search, and then only over a 2-torus
     of phase angles.
     """
-    grid = f.grid
+    grid = F.grid
     idx = _mode_indices(c.info, grid)
-    F = analyze(f)
     power = np.abs(F.coeffs) ** 2
     # power off the eigenspace modes, summed without cancellation
     for i1, i2 in idx:
@@ -292,19 +291,22 @@ def _orbit_distance_l2(f: RealField, c: EigenstateCoeffs) -> tuple[float, np.nda
     return math.sqrt(dist_sq), _wrap_to_cell(p, c.info)
 
 
-def orbit_distance(f: RealField, c: EigenstateCoeffs,
+def orbit_distance(f: RealField | SpectralField, c: EigenstateCoeffs,
                    p_norm: float = 2.0) -> tuple[float, np.ndarray]:
     """Minimum L^p distance from f to the translation orbit of the state c,
     together with a minimizing translation in the fundamental cell.
 
-    p_norm = 2 uses the exact spectral form; other exponents use a 32x32
-    coarse scan of the cell followed by Nelder-Mead refinement.
+    p_norm = 2 uses the exact spectral form on f's coefficients; other
+    exponents use a 32x32 coarse scan of the cell on f's samples, followed
+    by Nelder-Mead refinement.  Passing f in the form its exponent uses
+    saves a transform.
     """
     if p_norm < 1:
         raise BadExponent(f"p_norm must be >= 1, got {p_norm}")
     if p_norm == 2:
-        return _orbit_distance_l2(f, c)
+        return _orbit_distance_l2(_as_spectral(f), c)
 
+    f = _as_real(f)
     grid = f.grid
     _mode_indices(c.info, grid)  # resolvability check
     mcoords = np.array(c.info.k_coords, dtype=float)
@@ -340,11 +342,11 @@ def orbit_distance(f: RealField, c: EigenstateCoeffs,
     return val ** (1.0 / p_norm), p
 
 
-def project_to_e1(f: RealField) -> tuple[EigenstateCoeffs, float]:
+def project_to_e1(f: RealField | SpectralField) -> tuple[EigenstateCoeffs, float]:
     """Amplitude/phase content of f on the first eigenspace, plus the L2 residual."""
     info = classify_eigenspace(f.grid.basis)
     idx = _mode_indices(info, f.grid)
-    F = analyze(f)
+    F = _as_spectral(f)
     peak = float(np.max(np.abs(F.coeffs)))
     if abs(F.coeffs[0, 0]) > 1e-12 * max(1.0, peak):
         raise NonZeroMean(f"zero mode is {F.coeffs[0, 0]:.3e}")

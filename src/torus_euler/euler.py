@@ -3,9 +3,12 @@
 The vorticity is advanced in mode space with classical fixed-step RK4; the
 advection term is evaluated pointwise in sample space and truncated with
 the two-thirds rule, which removes all aliasing from the quadratic
-nonlinearity.  Diagnostics track the conserved quantities (energy,
-enstrophy, higher Casimirs, mean velocity) and, when a target eigenstate is
-given, the distance to its translation orbit.
+nonlinearity.  The vorticity is real, so the solver keeps only the rfft2
+half spectrum (columns 0..n2/2) and uses real transforms; the public
+``rhs`` and ``step`` take and return full-layout SpectralFields.
+Diagnostics track the conserved quantities (energy, enstrophy, higher
+Casimirs, mean velocity) and, when a target eigenstate is given, the
+distance to its translation orbit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 
 from .errors import NonZeroMean, NumericalBlowup
 from .eigenstate import (
@@ -25,14 +29,17 @@ from .eigenstate import (
 )
 from .spectral import (
     Grid,
-    ModeTable,
+    HalfModeTable,
     RealField,
     SpectralField,
     analyze,
+    energy,
+    enstrophy,
+    full_spectrum,
+    half_modes,
+    half_spectrum,
     lp_norm,
-    modes,
     random_mean_zero_field,
-    synthesize,
 )
 
 __all__ = [
@@ -141,52 +148,77 @@ class AdmissibilityReport:
         return not self.failed
 
 
-def _mask(table: ModeTable, config: SolverConfig) -> np.ndarray:
+def _mask(table: HalfModeTable, config: SolverConfig) -> np.ndarray:
     return table.dealias if config.dealias == "two_thirds" else None
 
 
-def _rhs_raw(c: np.ndarray, table: ModeTable, mask) -> np.ndarray:
-    """Advection right-hand side -(v . grad omega) on raw coefficients.
+def _samples(c: np.ndarray, table: HalfModeTable) -> np.ndarray:
+    """Grid samples of half-spectrum coefficients normalised as by ``analyze``."""
+    return irfft2(c, s=table.shape, norm="forward")
 
-    The ifft2 outputs are left unscaled; the two factors of n1*n2 from the
-    pointwise product cancel against the forward transform up to one power,
-    applied at the end.
+
+def _rhs_raw(c: np.ndarray, table: HalfModeTable, mask) -> np.ndarray:
+    """Advection right-hand side -(v . grad omega) on half-spectrum coefficients.
+
+    Five real transforms: four inverse ones to samples of the velocity and
+    the vorticity gradient, one forward one of their pointwise product.
     """
     psi = c * table.inv_lap
-    v1 = np.fft.ifft2(psi * table.dy).real
-    v2 = np.fft.ifft2(psi * table.dx).real  # sign folded in below
-    wx = np.fft.ifft2(c * table.dx).real
-    wy = np.fft.ifft2(c * table.dy).real
-    adv = v1 * wx - v2 * wy  # v2 carries a minus sign: v = (d2 psi, -d1 psi)
-    out = -np.fft.fft2(adv) * (c.shape[0] * c.shape[1])
+    v1 = _samples(psi * table.dy, table)
+    v2 = _samples(psi * table.dx, table)  # sign folded in below
+    wx = _samples(c * table.dx, table)
+    wy = _samples(c * table.dy, table)
+    v1 *= wx
+    v2 *= wy
+    v1 -= v2  # v2 carries a minus sign: v = (d2 psi, -d1 psi)
+    out = rfft2(v1, norm="forward")
+    np.negative(out, out=out)
     if mask is not None:
         out *= mask
     out[0, 0] = 0.0
     return out
 
 
+def _rk4(c: np.ndarray, table: HalfModeTable, mask, dt: float, stage: np.ndarray):
+    """Advance the half spectrum ``c`` by one classical RK4 step, in place.
+
+    ``stage`` is scratch space shaped like ``c``; the first tendency's array
+    accumulates k1 + 2 k2 + 2 k3 + k4.
+    """
+    acc = _rhs_raw(c, table, mask)
+    np.multiply(acc, 0.5 * dt, out=stage)
+    stage += c
+    k = _rhs_raw(stage, table, mask)
+    np.multiply(k, 0.5 * dt, out=stage)
+    stage += c
+    k *= 2.0
+    acc += k
+    k = _rhs_raw(stage, table, mask)
+    np.multiply(k, dt, out=stage)
+    stage += c
+    k *= 2.0
+    acc += k
+    acc += _rhs_raw(stage, table, mask)
+    acc *= dt / 6.0
+    c += acc
+    c[0, 0] = 0.0
+
+
 def rhs(omega: SpectralField, dealias: str = "two_thirds") -> SpectralField:
     """Instantaneous vorticity tendency of the Euler flow."""
     if abs(omega.coeffs[0, 0]) > 1e-12:
         raise NonZeroMean(f"zero mode is {omega.coeffs[0, 0]:.3e}")
-    table = modes(omega.grid)
+    table = half_modes(omega.grid)
     mask = table.dealias if dealias == "two_thirds" else None
-    return SpectralField(omega.grid, _rhs_raw(omega.coeffs, table, mask))
+    return full_spectrum(omega.grid, _rhs_raw(half_spectrum(omega), table, mask))
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """One classical RK4 step."""
-    table = modes(config.grid)
-    mask = _mask(table, config)
-    c = state.omega.coeffs
-    dt = config.dt
-    k1 = _rhs_raw(c, table, mask)
-    k2 = _rhs_raw(c + 0.5 * dt * k1, table, mask)
-    k3 = _rhs_raw(c + 0.5 * dt * k2, table, mask)
-    k4 = _rhs_raw(c + dt * k3, table, mask)
-    out = c + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    out[0, 0] = 0.0
-    return SolverState(state.t + dt, SpectralField(config.grid, out))
+    """One classical RK4 step of a full-layout state; ``run`` keeps the half spectrum."""
+    table = half_modes(config.grid)
+    c = half_spectrum(state.omega)
+    _rk4(c, table, _mask(table, config), config.dt, np.empty_like(c))
+    return SolverState(state.t + config.dt, full_spectrum(config.grid, c))
 
 
 def _min_cell_size(grid: Grid) -> float:
@@ -196,24 +228,30 @@ def _min_cell_size(grid: Grid) -> float:
 
 
 def _diag_row(t, c, w, grid, table, target, p_norm):
+    """One diagnostics row from the half spectrum ``c`` and its samples ``w``."""
+    F = full_spectrum(grid, c)
     f = RealField(grid, w)
-    power = np.abs(c) ** 2
-    e = 0.5 * grid.area * float(np.sum(power * table.inv_lap))
-    z = grid.area * float(np.sum(power))
-    cas = [float((w**m).mean() * grid.area) for m in (3, 4, 5, 6)]
-    psi = c * table.inv_lap
-    mv1 = float(np.fft.ifft2(psi * table.dy).real.mean()) * (grid.n1 * grid.n2)
-    mv2 = float(np.fft.ifft2(-(psi * table.dx)).real.mean()) * (grid.n1 * grid.n2)
+    # powers by products: numpy's w**m for m >= 3 is a hundred times slower
+    w2 = w * w
+    w3 = w2 * w
+    cas = [float(p.mean() * grid.area) for p in (w3, w2 * w2, w3 * w2, w3 * w3)]
+    # The velocity multipliers vanish at k = 0, so the mean velocity, the
+    # velocity's zero mode, is zero by construction and read off in O(1);
+    # adding 0.0 writes a signed zero as 0.0.
+    psi0 = c[0, 0] * table.inv_lap[0, 0]
+    mv = (float((psi0 * table.dy[0, 0]).real) + 0.0,
+          float((-psi0 * table.dx[0, 0]).real) + 0.0)
     if target is not None:
-        dist, pstar = orbit_distance(f, target, p_norm)
+        # the L2 distance works on coefficients, the Lp scan on samples
+        dist, pstar = orbit_distance(F if p_norm == 2 else f, target, p_norm)
     else:
         dist, pstar = math.nan, (math.nan, math.nan)
-    proj, resid = project_to_e1(f)
+    proj, resid = project_to_e1(F)
     if proj.info.dim == 6 and min(proj.amps) > 0:
         theta = (proj.phases[0] + proj.phases[1] - proj.phases[2]) % (2 * math.pi)
     else:
         theta = math.nan
-    return (t, e, z, cas, (mv1, mv2), dist, tuple(pstar), theta, resid)
+    return (t, energy(F), enstrophy(F), cas, mv, dist, tuple(pstar), theta, resid)
 
 
 def _pack(rows, meta) -> Diagnostics:
@@ -236,26 +274,27 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
         p_norm: float = 2.0, meta: dict | None = None):
     """Advance omega0 to t_end; returns (snapshots, Diagnostics).
 
+    Diagnostics are sampled every diag_stride steps and at the final step.
     Snapshots are (time, RealField) pairs taken at the configured times
     (matched to the nearest step).  Raises NumericalBlowup, carrying the
     diagnostics collected so far, if max |omega| grows by 1e6.
     """
     grid = config.grid
-    table = modes(grid)
+    table = half_modes(grid)
     F0 = analyze(omega0) if isinstance(omega0, RealField) else omega0
     if abs(F0.coeffs[0, 0]) > 1e-12:
         raise NonZeroMean("initial vorticity must be mean-zero")
     mask = _mask(table, config)
-    c = F0.coeffs.copy()
+    c = half_spectrum(F0)
     if mask is not None:
         c *= mask
 
     n_steps = int(round(config.t_end / config.dt)) if config.t_end > 0 else 0
     psi = c * table.inv_lap
     vmax = max(
-        float(np.max(np.abs(np.fft.ifft2(psi * table.dy).real))),
-        float(np.max(np.abs(np.fft.ifft2(psi * table.dx).real))),
-    ) * (grid.n1 * grid.n2)
+        float(np.max(np.abs(_samples(psi * table.dy, table)))),
+        float(np.max(np.abs(_samples(psi * table.dx, table)))),
+    )
     min_cell = _min_cell_size(grid)
     if vmax > 0 and config.dt > 0.5 * min_cell / vmax:
         warnings.warn(
@@ -271,29 +310,27 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     rows, snapshots = [], []
     meta = dict(meta or {})
     meta.setdefault("area", grid.area)
-    w0 = np.fft.ifft2(c).real * (grid.n1 * grid.n2)
+    w0 = _samples(c, table)
     rows.append(_diag_row(0.0, c, w0, grid, table, target, p_norm))
     if 0 in snap_steps:
         snapshots.append((0.0, RealField(grid, w0.copy())))
     max0 = max(float(np.max(np.abs(w0))), 1e-300)
 
-    state = SolverState(0.0, SpectralField(grid, c))
+    stage = np.empty_like(c)
     for istep in range(1, n_steps + 1):
-        state = step(state, config)
+        _rk4(c, table, mask, config.dt, stage)
         t = istep * config.dt
         if istep in snap_steps:
-            snapshots.append((t, synthesize(state.omega.copy())))
+            snapshots.append((t, RealField(grid, _samples(c, table))))
         if istep % config.diag_stride == 0 or istep == n_steps:
-            w = np.fft.ifft2(state.omega.coeffs).real * (grid.n1 * grid.n2)
+            w = _samples(c, table)
             maxw = float(np.max(np.abs(w)))
             if not math.isfinite(maxw) or maxw > BLOWUP_FACTOR * max0:
                 raise NumericalBlowup(
                     f"max |omega| reached {maxw:.3e} at t = {t:g}",
                     diagnostics=_pack(rows, meta),
                 )
-            if istep % config.diag_stride == 0:
-                rows.append(_diag_row(t, state.omega.coeffs, w, grid, table,
-                                      target, p_norm))
+            rows.append(_diag_row(t, c, w, grid, table, target, p_norm))
     return snapshots, _pack(rows, meta)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "ShortestVectorSet",
     "EigenspaceInfo",
     "dual_basis",
+    "unit_scaled",
     "gram_dual",
     "shortest_vectors",
     "classify_eigenspace",
@@ -31,6 +32,22 @@ __all__ = [
 
 # Relative tie tolerance for membership in the shortest-vector shell.
 SHELL_TIE_RTOL = 1e-9
+
+
+def unit_scaled(xi, eta) -> tuple[tuple[float, float], tuple[float, float], int]:
+    """Generators divided by the power of two 2**e that brings their largest
+    component into [0.5, 1), and e.
+
+    The scaling is exact, so a determinant formed from the result neither
+    underflows nor overflows, and dividing by it loses nothing.
+    """
+    _, e = math.frexp(max(abs(xi[0]), abs(xi[1]), abs(eta[0]), abs(eta[1])))
+    return ((math.ldexp(xi[0], -e), math.ldexp(xi[1], -e)),
+            (math.ldexp(eta[0], -e), math.ldexp(eta[1], -e)), e)
+
+
+def _det(xi, eta) -> float:
+    return xi[0] * eta[1] - xi[1] * eta[0]
 
 
 @dataclass(frozen=True)
@@ -48,14 +65,22 @@ class LatticeBasis:
         scale = max(math.hypot(*xi), math.hypot(*eta))
         if not math.isfinite(scale) or scale == 0.0:
             raise DegenerateBasis("zero or non-finite generator")
-        if abs(self.det) < 1e-12 * scale * scale:
+        xs, es, e = unit_scaled(xi, eta)
+        unit = math.ldexp(scale, -e)
+        if abs(_det(xs, es)) < 1e-12 * unit * unit:
             raise DegenerateBasis(
                 f"generators are numerically dependent (det={self.det:.3e})"
             )
+        try:
+            dual_basis(self)
+        except OverflowError:
+            raise DegenerateBasis(
+                "generators are so short that the dual lattice exceeds the float range"
+            ) from None
 
     @property
     def det(self) -> float:
-        return self.xi[0] * self.eta[1] - self.xi[1] * self.eta[0]
+        return _det(self.xi, self.eta)
 
     @property
     def area(self) -> float:
@@ -142,10 +167,15 @@ class EigenspaceInfo:
 
 
 def dual_basis(basis: LatticeBasis) -> DualBasis:
-    """Dual generators: xi* = (eta2, -eta1)/det, eta* = (-xi2, xi1)/det."""
-    d = basis.det
-    xi_star = (basis.eta[1] / d, -basis.eta[0] / d)
-    eta_star = (-basis.xi[1] / d, basis.xi[0] / d)
+    """Dual generators: xi* = (eta2, -eta1)/det, eta* = (-xi2, xi1)/det.
+
+    Computed from the unit-scaled generators, whose determinant cannot
+    underflow, then scaled back by the power of two.
+    """
+    xi, eta, e = unit_scaled(basis.xi, basis.eta)
+    d = _det(xi, eta)
+    xi_star = (math.ldexp(eta[1] / d, -e), math.ldexp(-eta[0] / d, -e))
+    eta_star = (math.ldexp(-xi[1] / d, -e), math.ldexp(xi[0] / d, -e))
     return DualBasis(xi_star, eta_star)
 
 

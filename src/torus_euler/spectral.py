@@ -25,6 +25,10 @@ __all__ = [
     "SpectralField",
     "ModeTable",
     "modes",
+    "HalfModeTable",
+    "half_modes",
+    "half_spectrum",
+    "full_spectrum",
     "sample_points",
     "analyze",
     "synthesize",
@@ -151,6 +155,50 @@ def modes(grid: Grid) -> ModeTable:
     for a in (mm, nn, kx, ky, ksq, inv_lap, dx, dy, dealias):
         a.setflags(write=False)
     return ModeTable(mm, nn, kx, ky, ksq, inv_lap, dx, dy, dealias)
+
+
+@dataclass(frozen=True)
+class HalfModeTable:
+    """The solver's multipliers on the rfft2 half spectrum.
+
+    A real field's coefficients are Hermitian, so columns 0..n2/2 of the
+    FFT layout determine them.  Each array here is a contiguous copy of
+    those columns of the ModeTable array of the same name, which keeps the
+    zero mode and the Nyquist lines exactly as the full layout has them.
+    """
+
+    shape: tuple[int, int]  # (n1, n2) of the sample grid
+    inv_lap: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    dealias: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def half_modes(grid: Grid) -> HalfModeTable:
+    t = modes(grid)
+    width = grid.n2 // 2 + 1
+    cut = []
+    for a in (t.inv_lap, t.dx, t.dy, t.dealias):
+        h = np.ascontiguousarray(a[:, :width])
+        h.setflags(write=False)
+        cut.append(h)
+    return HalfModeTable((grid.n1, grid.n2), *cut)
+
+
+def half_spectrum(F: SpectralField) -> np.ndarray:
+    """A fresh contiguous copy of F's columns 0..n2/2 (the rfft2 layout)."""
+    return F.coeffs[:, : F.grid.n2 // 2 + 1].copy()
+
+
+def full_spectrum(grid: Grid, half: np.ndarray) -> SpectralField:
+    """Hermitian extension of rfft2-layout coefficients to the full FFT layout."""
+    n2 = grid.n2
+    out = np.empty((grid.n1, n2), dtype=complex)
+    out[:, : n2 // 2 + 1] = half
+    # coefficient (m, j) with j > n2/2 is the conjugate of (-m, n2 - j)
+    out[:, n2 // 2 + 1:] = np.conj(half[_flip_index(grid.n1), n2 // 2 - 1:0:-1])
+    return SpectralField(grid, out)
 
 
 def sample_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -90,6 +90,23 @@ def test_diag_alignment_and_snapshots(hex_info, hex_grid):
     assert snaps[0][1].samples.shape == (hex_grid.n1, hex_grid.n2)
 
 
+def test_final_row_recorded_off_stride(hex_info, hex_grid):
+    cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.07, diag_stride=3)
+    _, diag = run(cfg, _two_mode_state(hex_grid, hex_info))
+    assert [round(t / 1e-2) for t in diag.t] == [0, 3, 6, 7]
+    assert diag.t[-1] == 7 * 1e-2
+
+
+def test_mean_velocity_is_exact_zero(hex_info, hex_grid, rng):
+    base = synthesize_eigenstate(EigenstateCoeffs(hex_info, (1.0, 0.5, 0.2), (0.0, 1.0, 2.0)),
+                                 hex_grid)
+    g = band_limited_perturbation(hex_grid, rng, 3 * hex_info.rho, 2.0)
+    omega0 = RealField(hex_grid, base.samples + 0.1 * g.samples)
+    _, diag = run(SolverConfig(hex_grid, dt=1e-2, t_end=0.2, diag_stride=5), omega0)
+    assert np.all(diag.mean_velocity == 0.0)
+    assert not np.any(np.signbit(diag.mean_velocity))
+
+
 def test_admissibility_negative_control(hex_info, hex_grid):
     cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.5, diag_stride=10)
     _, diag = run(cfg, _two_mode_state(hex_grid, hex_info))

@@ -1,0 +1,169 @@
+"""The half-spectrum solver core against the full-complex one it replaced,
+plus exact symmetry checks on ``step``.
+
+``_oracle_rhs``/``_oracle_step`` are the solver as it stood before the move
+to the rfft2 layout: every transform a full complex fft2/ifft2 on the FFT
+layout.  They are kept here only as a reference.
+"""
+
+import numpy as np
+import pytest
+
+from torus_euler import (
+    EigenstateCoeffs,
+    Grid,
+    RealField,
+    SolverConfig,
+    SolverState,
+    SpectralField,
+    analyze,
+    modes,
+    orbit_distance,
+    project_to_e1,
+    rhs,
+    step,
+    synthesize,
+    synthesize_eigenstate,
+)
+from torus_euler.spectral import (
+    full_spectrum,
+    half_modes,
+    half_spectrum,
+    random_mean_zero_field,
+)
+
+
+def _oracle_rhs(c, table, mask):
+    psi = c * table.inv_lap
+    v1 = np.fft.ifft2(psi * table.dy).real
+    v2 = np.fft.ifft2(psi * table.dx).real
+    wx = np.fft.ifft2(c * table.dx).real
+    wy = np.fft.ifft2(c * table.dy).real
+    adv = v1 * wx - v2 * wy
+    out = -np.fft.fft2(adv) * (c.shape[0] * c.shape[1])
+    if mask is not None:
+        out *= mask
+    out[0, 0] = 0.0
+    return out
+
+
+def _oracle_step(c, grid, dt, dealias="two_thirds"):
+    table = modes(grid)
+    mask = table.dealias if dealias == "two_thirds" else None
+    k1 = _oracle_rhs(c, table, mask)
+    k2 = _oracle_rhs(c + 0.5 * dt * k1, table, mask)
+    k3 = _oracle_rhs(c + 0.5 * dt * k2, table, mask)
+    k4 = _oracle_rhs(c + dt * k3, table, mask)
+    out = c + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    out[0, 0] = 0.0
+    return out
+
+
+@pytest.fixture(params=["hexagonal", "rectangular"])
+def case(request, hex_basis, hex_info, rect_basis, rect_info):
+    """A 64^2 grid and a perturbed eigenstate on it, with content up to the
+    Nyquist lines so that their handling is exercised."""
+    basis, info = {"hexagonal": (hex_basis, hex_info),
+                   "rectangular": (rect_basis, rect_info)}[request.param]
+    grid = Grid(basis, 64, 64)
+    rng = np.random.default_rng(7)
+    ref = EigenstateCoeffs(info, tuple(rng.uniform(0.5, 1.0, info.npairs)),
+                           tuple(rng.uniform(0.0, 6.0, info.npairs)))
+    w = synthesize_eigenstate(ref, grid).samples
+    w = w + 0.05 * random_mean_zero_field(grid, rng).samples
+    F = analyze(RealField(grid, w))
+    F.coeffs[0, 0] = 0.0
+    return grid, F
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
+def test_one_step_matches_full_complex_oracle(case, dealias):
+    grid, F = case
+    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
+    got = step(SolverState(0.0, F), cfg).omega.coeffs
+    assert _rel(got, _oracle_step(F.coeffs, grid, 1e-2, dealias)) <= 1e-13
+
+
+def test_rhs_matches_full_complex_oracle(case):
+    grid, F = case
+    table = modes(grid)
+    assert _rel(rhs(F).coeffs, _oracle_rhs(F.coeffs, table, table.dealias)) <= 1e-13
+
+
+def test_200_steps_match_full_complex_oracle(case):
+    grid, F = case
+    cfg = SolverConfig(grid, dt=1e-2, t_end=2.0)
+    state, want = SolverState(0.0, F), F.coeffs
+    for _ in range(200):
+        state = step(state, cfg)
+        want = _oracle_step(want, grid, 1e-2)
+    assert _rel(state.omega.coeffs, want) <= 1e-10
+
+
+def _shift(F, s1, s2):
+    """Coefficients of the samples moved by (s1, s2) grid points."""
+    t = modes(F.grid)
+    phase = np.exp(-2j * np.pi * (t.m * s1 / F.grid.n1 + t.n * s2 / F.grid.n2))
+    return SpectralField(F.grid, F.coeffs * phase)
+
+
+def _reflect(F):
+    """Coefficients of omega(-x): mode k goes to mode -k."""
+    i1 = (-np.arange(F.grid.n1)) % F.grid.n1
+    i2 = (-np.arange(F.grid.n2)) % F.grid.n2
+    return SpectralField(F.grid, F.coeffs[i1][:, i2])
+
+
+@pytest.mark.parametrize("s1,s2", [(1, 0), (0, 1), (3, 5), (32, 17)])
+def test_step_commutes_with_grid_shifts(case, s1, s2):
+    grid, F = case
+    cfg = SolverConfig(grid, dt=5e-2, t_end=1.0)
+    moved_then_stepped = step(SolverState(0.0, _shift(F, s1, s2)), cfg).omega.coeffs
+    stepped_then_moved = _shift(step(SolverState(0.0, F), cfg).omega, s1, s2).coeffs
+    assert _rel(moved_then_stepped, stepped_then_moved) <= 1e-13
+
+
+def test_step_commutes_with_point_reflection(case):
+    grid, F = case
+    cfg = SolverConfig(grid, dt=5e-2, t_end=1.0)
+    reflected_then_stepped = step(SolverState(0.0, _reflect(F)), cfg).omega.coeffs
+    stepped_then_reflected = _reflect(step(SolverState(0.0, F), cfg).omega).coeffs
+    assert _rel(reflected_then_stepped, stepped_then_reflected) <= 1e-13
+
+
+def test_half_tables_are_slices_of_the_full_table(case):
+    grid, _ = case
+    full, half = modes(grid), half_modes(grid)
+    width = grid.n2 // 2 + 1
+    assert half.shape == (grid.n1, grid.n2)
+    for name in ("inv_lap", "dx", "dy", "dealias"):
+        a = getattr(half, name)
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert np.array_equal(a, getattr(full, name)[:, :width])
+    assert half_modes(grid) is half
+
+
+def test_hermitian_extension_round_trip(case):
+    grid, F = case
+    back = full_spectrum(grid, half_spectrum(F))
+    back.validate()
+    assert np.max(np.abs(back.coeffs - F.coeffs)) <= 1e-15 * np.max(np.abs(F.coeffs))
+
+
+def test_diagnostics_accept_coefficients(case):
+    grid, F = case
+    f = synthesize(F)
+    info = project_to_e1(f)[0].info
+    ref = EigenstateCoeffs(info, (1.0,) * info.npairs, (0.5,) * info.npairs)
+    for p in (2.0, 4.0):
+        d_f, p_f = orbit_distance(f, ref, p)
+        d_F, p_F = orbit_distance(F, ref, p)
+        assert abs(d_F - d_f) <= 1e-12 * d_f
+        assert np.allclose(p_F, p_f, atol=1e-9)
+    (c_f, r_f), (c_F, r_F) = project_to_e1(f), project_to_e1(F)
+    assert np.allclose(c_F.amps, c_f.amps, rtol=1e-12, atol=0)
+    assert abs(r_F - r_f) <= 1e-12 * r_f

@@ -1,8 +1,10 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torus_euler import (
@@ -14,6 +16,7 @@ from torus_euler import (
     preset_basis,
     shortest_vectors,
 )
+from torus_euler.lattice import unit_scaled
 
 TAU = 2.0 * math.pi
 
@@ -137,10 +140,21 @@ def test_shell_gap():
     x1=st.floats(-3, 3), x2=st.floats(-3, 3),
     e1=st.floats(-3, 3), e2=st.floats(-3, 3),
 )
+# tiny generators whose unscaled determinant underflows to zero
+@example(x1=5.648e-289, x2=0.0, e1=0.0, e2=5.648e-289)
+# subnormal generators whose dual vectors exceed the float range
+@example(x1=2.225073858507203e-309, x2=0.0, e1=0.0, e2=2.225073858507203e-309)
 def test_dual_identities_hypothesis(x1, x2, e1, e2):
-    det = x1 * e2 - x2 * e1
-    scale = max(math.hypot(x1, x2), math.hypot(e1, e2))
+    (s1, s2), (f1, f2), _ = unit_scaled((x1, x2), (e1, e2))
+    det = s1 * f2 - s2 * f1
+    scale = max(math.hypot(s1, s2), math.hypot(f1, f2))
     if scale == 0 or abs(det) < 1e-6 * scale * scale:
+        return
+    # exact dual components are the generator components over the determinant
+    exact_det = Fraction(x1) * Fraction(e2) - Fraction(x2) * Fraction(e1)
+    if max(abs(Fraction(v)) for v in (x1, x2, e1, e2)) / abs(exact_det) > sys.float_info.max:
+        with pytest.raises(DegenerateBasis):
+            LatticeBasis((x1, x2), (e1, e2))
         return
     b = LatticeBasis((x1, x2), (e1, e2))
     m = np.array([[x1, x2], [e1, e2]])
