@@ -8,15 +8,25 @@ in the six-dimensional case, one scalar phase invariant.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BadExponent, GridTooCoarse, MixedEigenspace, NonZeroMean
 from .lattice import EigenspaceInfo, classify_eigenspace
-from .spectral import Grid, RealField, SpectralField, _as_real, _as_spectral, synthesize
+from .spectral import (
+    Grid,
+    RealField,
+    SpectralField,
+    _as_real,
+    _as_spectral,
+    int_power,
+    synthesize,
+)
 
 __all__ = [
     "EigenstateCoeffs",
@@ -201,8 +211,7 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
     In mode space a translation is a per-mode phase, so the squared
     distance splits into a translation-independent residual plus one
     cosine per active mode; only the 6D case (where the third phase is
-    tied to the first two) needs a search, and then only over a 2-torus
-    of phase angles.
+    tied to the first two) needs a search, and then only over one angle.
     """
     grid = F.grid
     idx = _mode_indices(c.info, grid)
@@ -232,43 +241,48 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
                 t12[1] = -beta[2] - t12[0]
         t_opt = np.array([t12[0], t12[1], t12[0] + t12[1]])
     else:
-        def gain(t1, t2):
-            return (w[0] * np.cos(beta[0] + t1) + w[1] * np.cos(beta[1] + t2)
-                    + w[2] * np.cos(beta[2] + t1 + t2))
+        # For fixed t1 the best t2 merges the last two cosines into one of
+        # amplitude |z(t1)|, z = w1 e^{i beta1} + w2 e^{i (beta2 + t1)}, which
+        # leaves h(t1) = w0 cos(beta0 + t1) + |z(t1)| to maximize: a 64-point
+        # scan, then Newton steps on h' kept inside the bracket around the
+        # best point, bisecting where a step would leave it or h'' >= 0.  A
+        # flat maximum, where Newton alone stalls, is found by the bisection.
+        w12 = w[1] * w[2]
+
+        def slope(t):
+            a, u = beta[0] + t, beta[2] - beta[1] + t
+            r = math.sqrt(w[1] * w[1] + w[2] * w[2] + 2.0 * w12 * math.cos(u))
+            if r == 0.0:
+                # w1 = w2 and |z| has a corner of slopes -w1, +w1 here:
+                # report a side along which h rises
+                g = -w[0] * math.sin(a) + w[1]
+                return (g if g > 0.0 else g - 2.0 * w[1]), 0.0
+            su = w12 * math.sin(u) / r
+            return (-w[0] * math.sin(a) - su,
+                    -w[0] * math.cos(a) - w12 * math.cos(u) / r - su * su / r)
 
         nc = 64
         tt = np.arange(nc) * _TWO_PI / nc
-        t1g, t2g = np.meshgrid(tt, tt, indexing="ij")
-        coarse = gain(t1g, t2g)
-        best = np.argmax(coarse)
-        t0 = np.array([t1g.ravel()[best], t2g.ravel()[best]])
-        res = minimize(lambda t: -gain(t[0], t[1]), t0, method="Nelder-Mead",
-                       options={"maxiter": 200, "xatol": 1e-12, "fatol": 1e-14})
-        tbest = np.array(res.x) if -res.fun >= coarse.ravel()[best] else t0
-        # Newton-polish the stationary point; the simplex alone leaves an
-        # argmin error that enters the distance linearly
-        gbest = gain(tbest[0], tbest[1])
-        for _ in range(6):
-            s0 = w[0] * math.sin(beta[0] + tbest[0])
-            s1 = w[1] * math.sin(beta[1] + tbest[1])
-            s2 = w[2] * math.sin(beta[2] + tbest[0] + tbest[1])
-            c0 = w[0] * math.cos(beta[0] + tbest[0])
-            c1 = w[1] * math.cos(beta[1] + tbest[1])
-            c2 = w[2] * math.cos(beta[2] + tbest[0] + tbest[1])
-            grad = np.array([-s0 - s2, -s1 - s2])
-            hess = np.array([[-c0 - c2, -c2], [-c2, -c1 - c2]])
-            det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-            if abs(det) < 1e-12 * (np.sum(w) ** 2 + 1e-300):
+        h = w[0] * np.cos(beta[0] + tt) + np.abs(
+            w[1] * np.exp(1j * beta[1]) + w[2] * np.exp(1j * (beta[2] + tt)))
+        i = int(np.argmax(h))
+        t1, lo, hi = tt[i], tt[i] - _TWO_PI / nc, tt[i] + _TWO_PI / nc
+        for _ in range(100):
+            g, curv = slope(t1)
+            if g == 0.0:
                 break
-            trial = tbest - np.linalg.solve(hess, grad)
-            gtrial = gain(trial[0], trial[1])
-            if not (gtrial >= gbest - 1e-12 * (np.sum(w) + 1.0)):
+            if g > 0.0:
+                lo = t1
+            else:
+                hi = t1
+            nxt = t1 - g / curv if curv < 0.0 else lo
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if nxt == t1:
                 break
-            if np.max(np.abs(trial - tbest)) < 1e-15:
-                tbest, gbest = trial, gtrial
-                break
-            tbest, gbest = trial, gtrial
-        t_opt = np.array([tbest[0], tbest[1], tbest[0] + tbest[1]])
+            t1 = nxt
+        t2 = -cmath.phase(w[1] * cmath.exp(1j * beta[1]) + w[2] * cmath.exp(1j * (beta[2] + t1)))
+        t_opt = np.array([t1, t2, t1 + t2])
 
     # per-mode differences stay nonnegative, so a near-perfect match is not
     # lost to cancellation against the total power
@@ -291,22 +305,27 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
     return math.sqrt(dist_sq), _wrap_to_cell(p, c.info)
 
 
-def orbit_distance(f: RealField | SpectralField, c: EigenstateCoeffs,
-                   p_norm: float = 2.0) -> tuple[float, np.ndarray]:
-    """Minimum L^p distance from f to the translation orbit of the state c,
-    together with a minimizing translation in the fundamental cell.
+# Bytes of the residual block and up to three power temporaries per chunk of
+# the Lp scan.  Larger blocks are handed back to the OS by the allocator
+# between chunks and fault in afresh (8-row chunks scanned 3.5x slower at 64^2).
+_LP_CHUNK_BYTES = 512 * 1024
 
-    p_norm = 2 uses the exact spectral form on f's coefficients; other
-    exponents use a 32x32 coarse scan of the cell on f's samples, followed
-    by Nelder-Mead refinement.  Passing f in the form its exponent uses
-    saves a transform.
+
+def _lp_chunk(n_samples: int) -> int:
+    """Translations per batched objective evaluation in the Lp scan."""
+    return max(1, _LP_CHUNK_BYTES // (4 * 8 * n_samples))
+
+
+def _orbit_distance_lp(f: RealField, c: EigenstateCoeffs,
+                       p_norm: float) -> tuple[float, np.ndarray]:
+    """Translation-minimized L^p distance on samples: a 32x32 scan of the
+    cell, then Nelder-Mead from its best point.
+
+    A translation p = s xi + t eta shifts mode i's phase by 2 pi (m_i s + n_i t),
+    so the translated state is [cos d | sin d] @ parts, with the rows of
+    ``parts`` the per-mode cosine and sine parts.  Every objective value, a
+    block of scan points or one simplex vertex, is one matrix product.
     """
-    if p_norm < 1:
-        raise BadExponent(f"p_norm must be >= 1, got {p_norm}")
-    if p_norm == 2:
-        return _orbit_distance_l2(_as_spectral(f), c)
-
-    f = _as_real(f)
     grid = f.grid
     _mode_indices(c.info, grid)  # resolvability check
     mcoords = np.array(c.info.k_coords, dtype=float)
@@ -315,36 +334,70 @@ def orbit_distance(f: RealField | SpectralField, c: EigenstateCoeffs,
     cos_parts, sin_parts = [], []
     for (m, n), a, al in zip(mcoords, c.amps, c.phases):
         theta = _TWO_PI * (m * y1 + n * y2) + al
-        cos_parts.append(a * np.cos(theta))
-        sin_parts.append(a * np.sin(theta))
+        cos_parts.append((a * np.cos(theta)).ravel())
+        sin_parts.append((a * np.sin(theta)).ravel())
+    parts = np.array(cos_parts + sin_parts)
+    samples = f.samples.ravel()
+    freq = _TWO_PI * mcoords.T
+    npairs = len(mcoords)
+    power = int(p_norm) if float(p_norm).is_integer() else None
 
-    cell = grid.cell
-
-    def objective(st):
-        # w(. - p) for p = s xi + t eta; k_i . p = m_i s + n_i t
-        w = np.zeros((grid.n1, grid.n2))
-        for (m, n), cp, sp in zip(mcoords, cos_parts, sin_parts):
-            d = _TWO_PI * (m * st[0] + n * st[1])
-            w += cp * math.cos(d) + sp * math.sin(d)
-        return float(np.sum(np.abs(f.samples - w) ** p_norm)) * cell
+    def objective(st: np.ndarray) -> np.ndarray:
+        """Cell-quadrature integral of |f - w(. - p)|^p for each row (s, t) of st."""
+        d = st @ freq
+        phase = np.empty((len(st), 2 * npairs))
+        np.cos(d, out=phase[:, :npairs])
+        np.sin(d, out=phase[:, npairs:])
+        r = phase @ parts
+        r -= samples
+        np.abs(r, out=r)
+        r = int_power(r, power) if power else np.power(r, p_norm, out=r)
+        return r.sum(axis=1) * grid.cell
 
     nc = 32
-    grid_pts = [(i / nc, j / nc) for i in range(nc) for j in range(nc)]
-    vals = [objective(st) for st in grid_pts]
+    ss, tt = np.meshgrid(np.arange(nc) / nc, np.arange(nc) / nc, indexing="ij")
+    grid_pts = np.stack([ss.ravel(), tt.ravel()], axis=1)
+    chunk = _lp_chunk(samples.size)
+    vals = np.concatenate([objective(grid_pts[i:i + chunk])
+                           for i in range(0, len(grid_pts), chunk)])
     best = int(np.argmin(vals))
-    res = minimize(objective, np.array(grid_pts[best]), method="Nelder-Mead",
+    res = minimize(lambda st: float(objective(st[None, :])[0]), grid_pts[best],
+                   method="Nelder-Mead",
                    options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-30})
     if res.fun <= vals[best]:
         st, val = res.x, float(res.fun)
     else:
-        st, val = np.array(grid_pts[best]), vals[best]
+        st, val = grid_pts[best], float(vals[best])
     p = (st[0] % 1.0) * np.asarray(c.info.basis.xi) + (st[1] % 1.0) * np.asarray(c.info.basis.eta)
     return val ** (1.0 / p_norm), p
 
 
+def orbit_distance(f: RealField | SpectralField, c: EigenstateCoeffs,
+                   p_norm: float = 2.0) -> tuple[float, np.ndarray]:
+    """Minimum L^p distance from f to the translation orbit of the state c,
+    together with a minimizing translation in the fundamental cell.
+
+    p_norm = 2 uses the exact spectral form on f's coefficients; other
+    exponents scan the cell on f's samples in batched matrix products and
+    refine the best point with Nelder-Mead.  Passing f in the form its
+    exponent uses saves a transform.
+    """
+    if p_norm < 1:
+        raise BadExponent(f"p_norm must be >= 1, got {p_norm}")
+    if p_norm == 2:
+        return _orbit_distance_l2(_as_spectral(f), c)
+    return _orbit_distance_lp(_as_real(f), c, p_norm)
+
+
+@lru_cache(maxsize=64)
+def _eigenspace(grid: Grid) -> EigenspaceInfo:
+    """The first eigenspace of the grid's torus, classified once per grid."""
+    return classify_eigenspace(grid.basis)
+
+
 def project_to_e1(f: RealField | SpectralField) -> tuple[EigenstateCoeffs, float]:
     """Amplitude/phase content of f on the first eigenspace, plus the L2 residual."""
-    info = classify_eigenspace(f.grid.basis)
+    info = _eigenspace(f.grid)
     idx = _mode_indices(info, f.grid)
     F = _as_spectral(f)
     peak = float(np.max(np.abs(F.coeffs)))

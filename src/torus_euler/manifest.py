@@ -18,6 +18,29 @@ class ManifestError(ValueError):
     """Malformed or inconsistent manifest content."""
 
 
+# every section and key a manifest may hold; anything else is a typo that
+# would otherwise run silently on the defaults
+_KEYS = {
+    "lattice": ("preset", "xi", "eta"),
+    "grid": ("n1", "n2"),
+    "solver": ("dt", "t_end", "dealias", "diag_stride", "snapshot_times"),
+    "experiment": ("reference", "epsilons", "seeds", "p_norm", "output_dir"),
+}
+
+
+def _check_names(cp: configparser.ConfigParser):
+    if cp.defaults():
+        raise ManifestError(f"unknown section [{cp.default_section}]")
+    for name in cp.sections():
+        if name not in _KEYS:
+            raise ManifestError(
+                f"unknown section [{name}]; expected {', '.join(f'[{k}]' for k in _KEYS)}")
+        unknown = [key for key in cp[name] if key not in _KEYS[name]]
+        if unknown:
+            raise ManifestError(
+                f"unknown key {unknown[0]!r} in [{name}]; expected {', '.join(_KEYS[name])}")
+
+
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split())
 
@@ -124,6 +147,7 @@ class ExperimentManifest:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ManifestError(f"cannot parse manifest: {exc}") from None
+        _check_names(cp)
         try:
             lat = cp["lattice"] if cp.has_section("lattice") else {}
             grid = cp["grid"] if cp.has_section("grid") else {}

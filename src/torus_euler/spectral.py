@@ -42,6 +42,7 @@ __all__ = [
     "lp_norm",
     "casimir",
     "energy_enstrophy_gap",
+    "int_power",
 ]
 
 MEAN_TOL = 1e-12
@@ -292,6 +293,23 @@ def enstrophy(omega) -> float:
     return F.grid.area * float(np.sum(np.abs(F.coeffs) ** 2))
 
 
+def int_power(x: np.ndarray, m: int) -> np.ndarray:
+    """x**m for an integer m >= 1 by products, x^k = x^(k - k//2) * x^(k//2).
+
+    numpy's ``**`` goes through the general power for m >= 3, which costs
+    several times as much as these few products.  Each halving level holds
+    at most two consecutive exponents, so at most four arrays are alive.
+    For m = 1 this is x itself.
+    """
+    levels = [{m}]
+    while max(levels[-1]) > 1:
+        levels.append({h for k in levels[-1] for h in (k - k // 2, max(k // 2, 1))})
+    powers = {1: x}
+    for level in reversed(levels[:-1]):
+        powers = {k: powers[k - k // 2] * powers[k // 2] if k > 1 else x for k in level}
+    return powers[m]
+
+
 def lp_norm(field, p: float) -> float:
     """L^p norm by cell quadrature; exact only below the Nyquist limit for even p."""
     if p < 1:
@@ -299,7 +317,9 @@ def lp_norm(field, p: float) -> float:
     f = _as_real(field)
     if math.isinf(p):
         return float(np.max(np.abs(f.samples)))
-    return float((np.abs(f.samples) ** p).mean() * f.grid.area) ** (1.0 / p)
+    a = np.abs(f.samples)
+    a = int_power(a, int(p)) if float(p).is_integer() else a**p
+    return float(a.mean() * f.grid.area) ** (1.0 / p)
 
 
 def casimir(omega, m: int) -> float:
@@ -307,7 +327,7 @@ def casimir(omega, m: int) -> float:
     if m < 1:
         raise BadExponent(f"moment order must be >= 1, got {m}")
     f = _as_real(omega)
-    return float((f.samples**m).mean() * f.grid.area)
+    return float(int_power(f.samples, m).mean() * f.grid.area)
 
 
 def energy_enstrophy_gap(omega) -> float:

@@ -373,7 +373,8 @@ def check_orbit_equivalence(n: int = 500, seed: int = 109) -> CheckResult:
 
 
 def check_orbit_distance(seed: int = 110) -> CheckResult:
-    """Forward-shift recovery and Parseval orthogonality of orbit_distance."""
+    """Forward-shift recovery (L^2, L^1.5 and L^4) and Parseval orthogonality
+    of orbit_distance."""
     rng = np.random.default_rng(seed)
     basis = lat.preset_basis("hexagonal")
     info = lat.classify_eigenspace(basis)
@@ -387,14 +388,15 @@ def check_orbit_distance(seed: int = 110) -> CheckResult:
             problems.append(f"case {i}: self distance {d0:.2e}")
         p0 = rng.uniform(-3.0, 3.0, 2)
         shifted = eig.synthesize_eigenstate(eig.translate_coeffs(c, p0), grid)
-        d1, p1 = eig.orbit_distance(shifted, c, 2.0)
-        if d1 > 1e-8:
-            problems.append(f"case {i}: shifted distance {d1:.2e}")
-        moved = eig.translate_coeffs(c, p1)
         want = eig.translate_coeffs(c, p0)
-        perr = max(eig.circ_dist(a, b) for a, b in zip(moved.phases, want.phases))
-        if perr > 1e-6:
-            problems.append(f"case {i}: recovered translation off by {perr:.2e}")
+        for p_norm, tol in ((2.0, 1e-8), (1.5, 1e-7), (4.0, 1e-7)):
+            d1, p1 = eig.orbit_distance(shifted, c, p_norm)
+            if d1 > tol:
+                problems.append(f"case {i}: shifted L^{p_norm:g} distance {d1:.2e}")
+            moved = eig.translate_coeffs(c, p1)
+            perr = max(eig.circ_dist(a, b) for a, b in zip(moved.phases, want.phases))
+            if perr > 1e-6:
+                problems.append(f"case {i}: L^{p_norm:g} translation off by {perr:.2e}")
         F = sp.analyze(f)
         extra = np.zeros_like(F.coeffs)
         extra[2, -2 % grid.n2] = 0.005

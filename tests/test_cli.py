@@ -1,7 +1,7 @@
 import pytest
 
 from torus_euler.cli import main
-from torus_euler.manifest import ExperimentManifest
+from torus_euler.manifest import ExperimentManifest, ManifestError
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +67,19 @@ def test_bad_manifest_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--manifest", str(bad))
     assert code == 2
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("typo", ["[solver]\nt-end = 99\n", "[experimnt]\np_norm = 4\n"],
+                         ids=["key", "section"])
+def test_misspelled_manifest_is_config_error(tmp_path, capsys, typo):
+    text = "[lattice]\npreset = hexagonal\n\n" + typo
+    with pytest.raises(ManifestError, match="unknown"):
+        ExperimentManifest.from_text(text)
+    bad = tmp_path / "typo.ini"
+    bad.write_text(text)
+    code, _, err = run_cli(capsys, "simulate", "--manifest", str(bad))
+    assert code == 2
+    assert "unknown" in err
 
 
 def _small_manifest(tmp_path, **overrides):

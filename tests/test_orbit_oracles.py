@@ -1,0 +1,215 @@
+"""The orbit distances against the searches they replaced.
+
+``_oracle_l2`` is the six-dimensional L2 distance as it stood with a
+Nelder-Mead pass between the 64x64 phase grid and the Newton polish;
+``_oracle_lp`` is the L^p distance as it stood with one full-grid objective
+call per scan point and per simplex vertex.  They are kept here only as
+references.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy.optimize import minimize
+
+from torus_euler import (
+    EigenstateCoeffs,
+    Grid,
+    RealField,
+    SpectralField,
+    analyze,
+    classify_eigenspace,
+    orbit_distance,
+    preset_basis,
+    synthesize_eigenstate,
+    translate_coeffs,
+)
+from torus_euler.eigenstate import _lp_chunk, _mode_indices, _wrap_to_cell, circ_dist
+from torus_euler.euler import band_limited_perturbation
+
+TAU = 2.0 * math.pi
+
+
+def _oracle_l2(F, c):
+    grid = F.grid
+    idx = _mode_indices(c.info, grid)
+    power = np.abs(F.coeffs) ** 2
+    for i1, i2 in idx:
+        power[i1, i2] = 0.0
+        power[-i1 % grid.n1, -i2 % grid.n2] = 0.0
+    residual_power = float(np.sum(power))
+    amps = np.array(c.amps)
+    raw = np.array([F.coeffs[i1, i2] for i1, i2 in idx])
+    z = raw * np.exp(-1j * np.array(c.phases))
+    beta = np.angle(z)
+    w = amps * np.abs(z)
+
+    def gain(t1, t2):
+        return (w[0] * np.cos(beta[0] + t1) + w[1] * np.cos(beta[1] + t2)
+                + w[2] * np.cos(beta[2] + t1 + t2))
+
+    nc = 64
+    tt = np.arange(nc) * TAU / nc
+    t1g, t2g = np.meshgrid(tt, tt, indexing="ij")
+    coarse = gain(t1g, t2g)
+    best = np.argmax(coarse)
+    t0 = np.array([t1g.ravel()[best], t2g.ravel()[best]])
+    res = minimize(lambda t: -gain(t[0], t[1]), t0, method="Nelder-Mead",
+                   options={"maxiter": 200, "xatol": 1e-12, "fatol": 1e-14})
+    tbest = np.array(res.x) if -res.fun >= coarse.ravel()[best] else t0
+    gbest = gain(tbest[0], tbest[1])
+    for _ in range(6):
+        s0 = w[0] * math.sin(beta[0] + tbest[0])
+        s1 = w[1] * math.sin(beta[1] + tbest[1])
+        s2 = w[2] * math.sin(beta[2] + tbest[0] + tbest[1])
+        c0 = w[0] * math.cos(beta[0] + tbest[0])
+        c1 = w[1] * math.cos(beta[1] + tbest[1])
+        c2 = w[2] * math.cos(beta[2] + tbest[0] + tbest[1])
+        grad = np.array([-s0 - s2, -s1 - s2])
+        hess = np.array([[-c0 - c2, -c2], [-c2, -c1 - c2]])
+        det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
+        if abs(det) < 1e-12 * (np.sum(w) ** 2 + 1e-300):
+            break
+        trial = tbest - np.linalg.solve(hess, grad)
+        gtrial = gain(trial[0], trial[1])
+        if not (gtrial >= gbest - 1e-12 * (np.sum(w) + 1.0)):
+            break
+        if np.max(np.abs(trial - tbest)) < 1e-15:
+            tbest, gbest = trial, gtrial
+            break
+        tbest, gbest = trial, gtrial
+    t_opt = np.array([tbest[0], tbest[1], tbest[0] + tbest[1]])
+    target = 0.5 * amps * np.exp(1j * (np.array(c.phases) - t_opt))
+    dist_sq = grid.area * (residual_power + 2.0 * float(np.sum(np.abs(raw - target) ** 2)))
+    kmat = np.array([c.info.k[0], c.info.k[1]], dtype=float)
+    p = np.linalg.solve(kmat, t_opt[:2] / TAU)
+    return math.sqrt(dist_sq), _wrap_to_cell(p, c.info), tbest
+
+
+def _oracle_lp(f, c, p_norm):
+    grid = f.grid
+    mcoords = np.array(c.info.k_coords, dtype=float)
+    y1 = np.arange(grid.n1)[:, None] / grid.n1
+    y2 = np.arange(grid.n2)[None, :] / grid.n2
+    cos_parts, sin_parts = [], []
+    for (m, n), a, al in zip(mcoords, c.amps, c.phases):
+        theta = TAU * (m * y1 + n * y2) + al
+        cos_parts.append(a * np.cos(theta))
+        sin_parts.append(a * np.sin(theta))
+
+    def objective(st):
+        w = np.zeros((grid.n1, grid.n2))
+        for (m, n), cp, sp in zip(mcoords, cos_parts, sin_parts):
+            d = TAU * (m * st[0] + n * st[1])
+            w += cp * math.cos(d) + sp * math.sin(d)
+        return float(np.sum(np.abs(f.samples - w) ** p_norm)) * grid.cell
+
+    nc = 32
+    grid_pts = [(i / nc, j / nc) for i in range(nc) for j in range(nc)]
+    vals = [objective(st) for st in grid_pts]
+    best = int(np.argmin(vals))
+    res = minimize(objective, np.array(grid_pts[best]), method="Nelder-Mead",
+                   options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-30})
+    if res.fun <= vals[best]:
+        st, val = res.x, float(res.fun)
+    else:
+        st, val = np.array(grid_pts[best]), vals[best]
+    p = (st[0] % 1.0) * np.asarray(c.info.basis.xi) + (st[1] % 1.0) * np.asarray(c.info.basis.eta)
+    return val ** (1.0 / p_norm), p
+
+
+def _phase_error(c, p, q):
+    """Largest circular difference of the active phases of c translated by p and by q."""
+    a, b = translate_coeffs(c, p), translate_coeffs(c, q)
+    return max(circ_dist(x, y) for x, y, amp in zip(a.phases, b.phases, c.amps) if amp > 0)
+
+
+def _weights(rng, kind):
+    """Cosine weights (w0, w1, w2) and phase offsets beta of one L2 case."""
+    beta = rng.uniform(-math.pi, math.pi, 3)
+    w = rng.uniform(0.05, 2.0, 3)
+    if kind == "tiny":
+        w[rng.integers(3)] = 10.0 ** rng.uniform(-9, -3)
+    elif kind == "sum":
+        w[0] = w[1] + w[2]
+    elif kind == "flat":         # phi = pi and 1/w2 = 1/w0 + 1/w1: singular Hessian at the max
+        w[2] = w[0] * w[1] / (w[0] + w[1]) * (1.0 + rng.uniform(-1e-6, 1e-6))
+        beta[2] = beta[0] + beta[1] + math.pi
+    return w, beta
+
+
+@pytest.mark.parametrize("kind", ["random", "tiny", "sum", "flat"])
+def test_l2_without_simplex_matches_oracle(hex_basis, hex_info, kind):
+    grid = Grid(hex_basis, 32, 32)
+    idx = _mode_indices(hex_info, grid)
+    rng = np.random.default_rng(["random", "tiny", "sum", "flat"].index(kind))
+    for _ in range(150):
+        c = EigenstateCoeffs(hex_info, tuple(rng.uniform(0.2, 2.0, 3)),
+                             tuple(rng.uniform(0.0, TAU, 3)))
+        w, beta = _weights(rng, kind)
+        coeffs = np.zeros((grid.n1, grid.n2), dtype=complex)
+        coeffs[3, 5] = coeffs[-3, -5] = 0.01  # off the eigenspace
+        for (i1, i2), a, al, wi, bi in zip(idx, c.amps, c.phases, w, beta):
+            coeffs[i1, i2] = (wi / a) * complex(math.cos(bi + al), math.sin(bi + al))
+            coeffs[-i1, -i2] = coeffs[i1, i2].conjugate()
+        F = SpectralField(grid, coeffs)
+        d, p = orbit_distance(F, c, 2.0)
+        d_ref, p_ref, (t1, t2) = _oracle_l2(F, c)
+        assert abs(d - d_ref) <= 1e-12 * d_ref
+        # the maximizer is unique where the gain's Hessian at it is regular
+        c0, c1 = w[0] * math.cos(beta[0] + t1), w[1] * math.cos(beta[1] + t2)
+        c2 = w[2] * math.cos(beta[2] + t1 + t2)
+        if abs((c0 + c2) * (c1 + c2) - c2 * c2) > 1e-6 * np.sum(w) ** 2:
+            assert _phase_error(c, p, p_ref) <= 1e-7
+
+
+def test_l2_on_the_corner_of_the_merged_amplitude(hex_info, hex_grid):
+    # w1 = w2, and the best scan angle is where w1 e^{i beta1} + w2 e^{i(beta2 + t1)} = 0
+    c = EigenstateCoeffs(hex_info, (1.0, 0.1, 0.1), (0.0, 0.0, 0.0))
+    f = synthesize_eigenstate(EigenstateCoeffs(hex_info, (1.0, 0.1, 0.1), (math.pi, 0.0, 0.0)),
+                              hex_grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, _ = orbit_distance(f, c, 2.0)
+    d_ref, _, _ = _oracle_l2(analyze(f), c)
+    assert abs(d - d_ref) <= 1e-12 * d_ref
+
+
+def _lp_cases():
+    """(preset, n, p_norm, eps, seed): every exponent and three decades of eps on
+    three small grids, two of each on hexagonal 128^2."""
+    cases = []
+    for preset, n, exps, epss in (
+        ("square", 64, (1.0, 1.5, 3.0, 4.0, 6.0), (1e-3, 1e-1, 10.0)),
+        ("hexagonal", 64, (1.0, 1.5, 3.0, 4.0, 6.0), (1e-3, 1e-1, 10.0)),
+        ("rectangular:3.0", 48, (1.0, 1.5, 3.0, 4.0, 6.0), (1e-3, 1e-1, 10.0)),
+        ("hexagonal", 128, (1.5, 4.0), (1e-2, 1.0)),
+    ):
+        for p in exps:
+            for eps in epss:
+                cases.append((preset, n, p, eps, len(cases)))
+    return cases
+
+
+@pytest.mark.parametrize("preset,n,p_norm,eps,seed", _lp_cases())
+def test_lp_kernel_matches_oracle(preset, n, p_norm, eps, seed):
+    basis = preset_basis(preset)
+    info = classify_eigenspace(basis)
+    grid = Grid(basis, n, n)
+    rng = np.random.default_rng(seed)
+    c = EigenstateCoeffs(info, tuple(rng.uniform(0.3, 1.5, info.npairs)),
+                         tuple(rng.uniform(0.0, TAU, info.npairs)))
+    base = synthesize_eigenstate(translate_coeffs(c, rng.uniform(-3.0, 3.0, 2)), grid)
+    g = band_limited_perturbation(grid, rng, 3.0 * info.rho, p_norm)
+    f = RealField(grid, base.samples + eps * g.samples)
+    d, p = orbit_distance(f, c, p_norm)
+    d_ref, p_ref = _oracle_lp(f, c, p_norm)
+    assert abs(d - d_ref) <= 1e-9 * d_ref
+    assert _phase_error(c, p, p_ref) <= 1e-6
+
+
+def test_lp_chunk_leaves_a_remainder_on_48():
+    # the 48^2 cases above run a last, shorter block of scan points
+    assert 1024 % _lp_chunk(48 * 48) != 0

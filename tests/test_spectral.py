@@ -26,7 +26,7 @@ from torus_euler import (
     synthesize_eigenstate,
     velocity_from_vorticity,
 )
-from torus_euler.spectral import random_mean_zero_field
+from torus_euler.spectral import int_power, random_mean_zero_field
 
 
 def _unit_mode_field(grid, info, i=0):
@@ -227,3 +227,14 @@ def test_grid_validation(hex_basis):
         Grid(hex_basis, 15, 32)
     with pytest.raises(ValueError):
         Grid(hex_basis, 32, 10)
+
+
+def test_int_power_products():
+    x = np.random.default_rng(3).standard_normal(1000)
+    x2 = x * x
+    x3 = x2 * x
+    # the halving chain: the same products, bit for bit, as written out by hand
+    for m, want in ((1, x), (2, x2), (3, x3), (4, x2 * x2), (5, x3 * x2), (6, x3 * x3)):
+        assert np.array_equal(int_power(x, m), want)
+    for m in range(7, 40):
+        assert np.allclose(int_power(x, m), x**m, rtol=1e-13, atol=0)
