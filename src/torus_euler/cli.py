@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .census import linf_datum, orbit_census
+from .census import CENSUS_BOUNDS, linf_datum, orbit_census
 from .eigenstate import orbit_invariant, same_orbit, synthesize_eigenstate
 from .errors import NumericalBlowup, TorusEulerError
 from .euler import run, stability_experiment
@@ -86,7 +86,7 @@ def cmd_census(args) -> int:
     info = classify_eigenspace(basis)
     reference = parse_coeffs(args.coeffs, info)
     out = orbit_census(reference)
-    print(f"# census dim={out.dim} count={out.count} bound={ {2: 1, 4: 2, 6: 12}[out.dim] }")
+    print(f"# census dim={out.dim} count={out.count} bound={CENSUS_BOUNDS[out.dim]}")
     if out.dim == 4:
         print(f"# sup-norm cross-check: reference A1+A2 = {linf_datum(reference)!r}")
     for i, rep in enumerate(out.representatives):

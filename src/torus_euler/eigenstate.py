@@ -305,69 +305,128 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
     return math.sqrt(dist_sq), _wrap_to_cell(p, c.info)
 
 
-# Bytes of the residual block and up to three power temporaries per chunk of
-# the Lp scan.  Larger blocks are handed back to the OS by the allocator
-# between chunks and fault in afresh (8-row chunks scanned 3.5x slower at 64^2).
-_LP_CHUNK_BYTES = 512 * 1024
+class _LpObjective:
+    """J(s, t) = cell-quadrature integral of |f - w(. - s xi - t eta)|^p on f's
+    samples, with its gradient and Hessian in the cell coordinates (s, t).
+
+    A translation by s xi + t eta shifts mode i's phase by
+    d_i = 2 pi (m_i s + n_i t).  With C_i, S_i the mode's cosine and sine
+    parts (the rows of ``parts``, built once), the translated mode is
+    U_i = cos d_i C_i + sin d_i S_i and its phase derivative is
+    V_i = -sin d_i C_i + cos d_i S_i, so every evaluation is one small
+    matrix times ``parts``.
+    """
+
+    def __init__(self, f: RealField, c: EigenstateCoeffs, p_norm: float):
+        grid = f.grid
+        _mode_indices(c.info, grid)  # resolvability check
+        mcoords = np.array(c.info.k_coords, dtype=float)
+        y1 = np.arange(grid.n1)[:, None] / grid.n1
+        y2 = np.arange(grid.n2)[None, :] / grid.n2
+        cos_parts, sin_parts = [], []
+        for (m, n), a, al in zip(mcoords, c.amps, c.phases):
+            theta = _TWO_PI * (m * y1 + n * y2) + al
+            cos_parts.append((a * np.cos(theta)).ravel())
+            sin_parts.append((a * np.sin(theta)).ravel())
+        self.parts = np.array(cos_parts + sin_parts)
+        self.samples = f.samples.ravel()
+        self.freq = _TWO_PI * mcoords  # row i: the derivative of d_i in (s, t)
+        self.npairs = len(mcoords)
+        self.p = p_norm
+        self.power = int(p_norm) if float(p_norm).is_integer() else None
+        self.cell = grid.cell
+
+    def value(self, st: np.ndarray) -> float:
+        d = self.freq @ st
+        r = np.concatenate([np.cos(d), np.sin(d)]) @ self.parts
+        r -= self.samples
+        np.abs(r, out=r)
+        r = int_power(r, self.power) if self.power else np.power(r, self.p, out=r)
+        return float(r.sum()) * self.cell
+
+    def local(self, st: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """J, grad J and the Hessian of J at (s, t), for p > 1.
+
+        With r = f - w and w_a = sum_i freq_ia V_i, w_ab = -sum_i freq_ia freq_ib U_i:
+        grad_a = -p sum |r|^(p-1) sgn(r) w_a and
+        H_ab = p (p-1) sum |r|^(p-2) w_a w_b - p sum |r|^(p-1) sgn(r) w_ab.
+        """
+        k, p = self.npairs, self.p
+        d = self.freq @ st
+        cos, sin = np.diag(np.cos(d)), np.diag(np.sin(d))
+        uv = np.block([[cos, sin], [-sin, cos]]) @ self.parts  # U_1..U_k, V_1..V_k
+        r = self.samples - uv[:k].sum(axis=0)
+        a = np.abs(r)
+        if self.power and self.power > 2:
+            q = int_power(a, self.power - 2)
+        else:
+            # |r|^(p-2) is unbounded at r = 0 for p < 2; an exact match adds nothing
+            q = np.power(a, p - 2.0, out=np.zeros_like(a), where=a > 0.0)
+        g1 = q * r  # |r|^(p-1) sgn(r)
+        proj = uv @ g1
+        wa = self.freq.T @ uv[k:]
+        grad = -p * self.cell * (self.freq.T @ proj[k:])
+        hess = self.cell * (p * (p - 1.0) * ((wa * q) @ wa.T)
+                            + p * (self.freq.T * proj[:k]) @ self.freq)
+        return float(g1 @ r) * self.cell, grad, hess
 
 
-def _lp_chunk(n_samples: int) -> int:
-    """Translations per batched objective evaluation in the Lp scan."""
-    return max(1, _LP_CHUNK_BYTES // (4 * 8 * n_samples))
+# Newton on the Lp objective: iteration cap, and the step length in cell
+# coordinates below which the iterate counts as converged.
+_LP_NEWTON_ITERS = 100
+_LP_STEP_TOL = 1e-13
+
+
+def _lp_newton(obj: _LpObjective, st: np.ndarray) -> tuple[np.ndarray, float]:
+    """Safeguarded Newton descent on J from st: the Newton step where the
+    Hessian is positive definite, else a gradient step of Cauchy length, each
+    halved until J does not increase.  A step moves no mode's phase by more
+    than pi/4.  The Cauchy step is the Newton step on the Hessian's range where
+    it has rank one: a single active mode, whose orbit is a line."""
+    cap = 0.25 * math.pi / float(np.abs(obj.freq).sum(axis=1).max())
+    J, g, H = obj.local(st)
+    for _ in range(_LP_NEWTON_ITERS):
+        lo, hi = np.linalg.eigvalsh(H)
+        if lo > 1e-10 * hi:
+            step = -np.linalg.solve(H, g)
+        else:
+            curv = float(g @ H @ g)
+            step = -g * (float(g @ g) / curv if curv > 0.0 else 1.0)
+        size = float(np.max(np.abs(step)))
+        if size > cap:
+            step *= cap / size
+        while True:
+            if float(np.max(np.abs(step))) < _LP_STEP_TOL:
+                return st, J
+            trial = st + step
+            Jt, gt, Ht = obj.local(trial)
+            if Jt <= J:
+                break
+            step *= 0.5
+        falling = Jt < J
+        st, J, g, H = trial, Jt, gt, Ht
+        if not falling:
+            break
+    return st, J
 
 
 def _orbit_distance_lp(f: RealField, c: EigenstateCoeffs,
                        p_norm: float) -> tuple[float, np.ndarray]:
-    """Translation-minimized L^p distance on samples: a 32x32 scan of the
-    cell, then Nelder-Mead from its best point.
-
-    A translation p = s xi + t eta shifts mode i's phase by 2 pi (m_i s + n_i t),
-    so the translated state is [cos d | sin d] @ parts, with the rows of
-    ``parts`` the per-mode cosine and sine parts.  Every objective value, a
-    block of scan points or one simplex vertex, is one matrix product.
-    """
-    grid = f.grid
-    _mode_indices(c.info, grid)  # resolvability check
-    mcoords = np.array(c.info.k_coords, dtype=float)
-    y1 = np.arange(grid.n1)[:, None] / grid.n1
-    y2 = np.arange(grid.n2)[None, :] / grid.n2
-    cos_parts, sin_parts = [], []
-    for (m, n), a, al in zip(mcoords, c.amps, c.phases):
-        theta = _TWO_PI * (m * y1 + n * y2) + al
-        cos_parts.append((a * np.cos(theta)).ravel())
-        sin_parts.append((a * np.sin(theta)).ravel())
-    parts = np.array(cos_parts + sin_parts)
-    samples = f.samples.ravel()
-    freq = _TWO_PI * mcoords.T
-    npairs = len(mcoords)
-    power = int(p_norm) if float(p_norm).is_integer() else None
-
-    def objective(st: np.ndarray) -> np.ndarray:
-        """Cell-quadrature integral of |f - w(. - p)|^p for each row (s, t) of st."""
-        d = st @ freq
-        phase = np.empty((len(st), 2 * npairs))
-        np.cos(d, out=phase[:, :npairs])
-        np.sin(d, out=phase[:, npairs:])
-        r = phase @ parts
-        r -= samples
-        np.abs(r, out=r)
-        r = int_power(r, power) if power else np.power(r, p_norm, out=r)
-        return r.sum(axis=1) * grid.cell
-
-    nc = 32
-    ss, tt = np.meshgrid(np.arange(nc) / nc, np.arange(nc) / nc, indexing="ij")
-    grid_pts = np.stack([ss.ravel(), tt.ravel()], axis=1)
-    chunk = _lp_chunk(samples.size)
-    vals = np.concatenate([objective(grid_pts[i:i + chunk])
-                           for i in range(0, len(grid_pts), chunk)])
-    best = int(np.argmin(vals))
-    res = minimize(lambda st: float(objective(st[None, :])[0]), grid_pts[best],
-                   method="Nelder-Mead",
-                   options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-30})
-    if res.fun <= vals[best]:
-        st, val = res.x, float(res.fun)
+    """Translation-minimized L^p distance on samples, searched from the exact
+    L2 minimizer: safeguarded Newton for p > 1, Nelder-Mead for p = 1, where
+    the Hessian vanishes almost everywhere."""
+    obj = _LpObjective(f, c, p_norm)
+    st = np.array(_cell_coords(_orbit_distance_l2(_as_spectral(f), c)[1], c.info))
+    if p_norm > 1:
+        st, val = _lp_newton(obj, st)
     else:
-        st, val = grid_pts[best], float(vals[best])
+        val = obj.value(st)
+        if val > 0.0:
+            # scaled to 1 at the seed, so that fatol is a few ulps of J
+            res = minimize(lambda x: obj.value(x) / val, st, method="Nelder-Mead",
+                           options={"maxiter": 200, "xatol": 1e-10,
+                                    "fatol": 4.0 * np.finfo(float).eps})
+            st, val = res.x, float(res.fun) * val
     p = (st[0] % 1.0) * np.asarray(c.info.basis.xi) + (st[1] % 1.0) * np.asarray(c.info.basis.eta)
     return val ** (1.0 / p_norm), p
 
@@ -377,13 +436,13 @@ def orbit_distance(f: RealField | SpectralField, c: EigenstateCoeffs,
     """Minimum L^p distance from f to the translation orbit of the state c,
     together with a minimizing translation in the fundamental cell.
 
-    p_norm = 2 uses the exact spectral form on f's coefficients; other
-    exponents scan the cell on f's samples in batched matrix products and
-    refine the best point with Nelder-Mead.  Passing f in the form its
+    p_norm = 2 uses the exact spectral form on f's coefficients.  Other
+    finite exponents start from the L2 minimizer and descend on f's samples:
+    Newton for p > 1, Nelder-Mead for p = 1.  Passing f in the form its
     exponent uses saves a transform.
     """
-    if p_norm < 1:
-        raise BadExponent(f"p_norm must be >= 1, got {p_norm}")
+    if not 1.0 <= p_norm < math.inf:
+        raise BadExponent(f"p_norm must be finite and >= 1, got {p_norm}")
     if p_norm == 2:
         return _orbit_distance_l2(_as_spectral(f), c)
     return _orbit_distance_lp(_as_real(f), c, p_norm)

@@ -23,6 +23,7 @@ from scipy.fft import irfft2, rfft2
 from .errors import NonZeroMean, NumericalBlowup
 from .eigenstate import (
     EigenstateCoeffs,
+    _theta,
     orbit_distance,
     project_to_e1,
     synthesize_eigenstate,
@@ -245,10 +246,7 @@ def _diag_row(t, c, w, grid, table, target, p_norm):
     else:
         dist, pstar = math.nan, (math.nan, math.nan)
     proj, resid = project_to_e1(F)
-    if proj.info.dim == 6 and min(proj.amps) > 0:
-        theta = (proj.phases[0] + proj.phases[1] - proj.phases[2]) % (2 * math.pi)
-    else:
-        theta = math.nan
+    theta = _theta(proj) if proj.info.dim == 6 and min(proj.amps) > 0 else math.nan
     return (t, energy(F), enstrophy(F), cas, mv, dist, tuple(pstar), theta, resid)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +75,8 @@ class ExperimentManifest:
             raise ManifestError("manifest needs either a lattice preset or xi and eta")
         if self.preset is not None and self.xi is not None:
             raise ManifestError("give a preset or explicit generators, not both")
+        if not 1.0 <= self.p_norm < math.inf:
+            raise ManifestError(f"p_norm must be finite and >= 1, got {self.p_norm}")
 
     # -- lattice / solver objects -------------------------------------------
 

@@ -373,8 +373,8 @@ def check_orbit_equivalence(n: int = 500, seed: int = 109) -> CheckResult:
 
 
 def check_orbit_distance(seed: int = 110) -> CheckResult:
-    """Forward-shift recovery (L^2, L^1.5 and L^4) and Parseval orthogonality
-    of orbit_distance."""
+    """Forward-shift recovery (L^p for p in 1, 1.5, 2, 3, 4, 6) and Parseval
+    orthogonality of orbit_distance."""
     rng = np.random.default_rng(seed)
     basis = lat.preset_basis("hexagonal")
     info = lat.classify_eigenspace(basis)
@@ -389,7 +389,8 @@ def check_orbit_distance(seed: int = 110) -> CheckResult:
         p0 = rng.uniform(-3.0, 3.0, 2)
         shifted = eig.synthesize_eigenstate(eig.translate_coeffs(c, p0), grid)
         want = eig.translate_coeffs(c, p0)
-        for p_norm, tol in ((2.0, 1e-8), (1.5, 1e-7), (4.0, 1e-7)):
+        for p_norm, tol in ((2.0, 1e-8), (1.0, 1e-7), (1.5, 1e-7), (3.0, 1e-7),
+                            (4.0, 1e-7), (6.0, 1e-7)):
             d1, p1 = eig.orbit_distance(shifted, c, p_norm)
             if d1 > tol:
                 problems.append(f"case {i}: shifted L^{p_norm:g} distance {d1:.2e}")

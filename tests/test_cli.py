@@ -82,6 +82,29 @@ def test_misspelled_manifest_is_config_error(tmp_path, capsys, typo):
     assert "unknown" in err
 
 
+@pytest.mark.parametrize("p_norm", ["inf", "nan", "0.5"])
+def test_bad_p_norm_exits_2_before_any_job(tmp_path, capsys, p_norm):
+    outdir = tmp_path / "never"
+    code, _, err = run_cli(
+        capsys, "stability", "--preset", "hexagonal",
+        "--coeffs", "1 0 1 0 1 0", "--eps", "0.01", "--seed", "7",
+        "--resolution", "32", "--dt", "0.02", "--t-end", "0.1",
+        "--p-norm", p_norm, "--output", str(outdir),
+    )
+    assert code == 2
+    assert "p_norm" in err
+    assert not outdir.exists()
+    text = f"[lattice]\npreset = hexagonal\n\n[experiment]\np_norm = {p_norm}\n"
+    with pytest.raises(ManifestError, match="p_norm"):
+        ExperimentManifest.from_text(text)
+    bad = tmp_path / "bad_p.ini"
+    bad.write_text(text)
+    code, _, err = run_cli(capsys, "stability", "--manifest", str(bad),
+                           "--eps", "0.01", "--seed", "1", "--output", str(outdir))
+    assert code == 2
+    assert not outdir.exists()
+
+
 def _small_manifest(tmp_path, **overrides):
     kwargs = dict(
         preset="hexagonal", n1=32, n2=32, dt=0.02, t_end=0.2,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_euler import (
+    BadExponent,
     EigenstateCoeffs,
     Grid,
     GridTooCoarse,
@@ -265,6 +266,14 @@ def test_orbit_distance_general_p(hex_info, hex_grid, rng):
     assert max(circ_dist(a, b) for a, b in zip(got.phases, want.phases)) < 1e-6
     d0, _ = orbit_distance(shifted, c, 4.0)
     assert d0 <= 1e-7
+
+
+@pytest.mark.parametrize("p_norm", [math.inf, math.nan, 0.5])
+def test_orbit_distance_rejects_bad_exponents(hex_info, hex_grid, p_norm):
+    # an exact translate at p = inf used to come back as (1.0, [0, 0])
+    c = EigenstateCoeffs(hex_info, (1.0, 0.7, 0.4), (0.3, 5.1, 2.2))
+    with pytest.raises(BadExponent):
+        orbit_distance(synthesize_eigenstate(c, hex_grid), c, p_norm)
 
 
 def test_project_to_e1(hex_info, hex_grid, rng):

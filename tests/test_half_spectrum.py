@@ -17,8 +17,10 @@ from torus_euler import (
     SolverState,
     SpectralField,
     analyze,
+    classify_eigenspace,
     modes,
     orbit_distance,
+    preset_basis,
     project_to_e1,
     rhs,
     step,
@@ -65,6 +67,10 @@ def case(request, hex_basis, hex_info, rect_basis, rect_info):
     Nyquist lines so that their handling is exercised."""
     basis, info = {"hexagonal": (hex_basis, hex_info),
                    "rectangular": (rect_basis, rect_info)}[request.param]
+    return _perturbed_state(basis, info)
+
+
+def _perturbed_state(basis, info):
     grid = Grid(basis, 64, 64)
     rng = np.random.default_rng(7)
     ref = EigenstateCoeffs(info, tuple(rng.uniform(0.5, 1.0, info.npairs)),
@@ -133,6 +139,54 @@ def test_step_commutes_with_point_reflection(case):
     reflected_then_stepped = step(SolverState(0.0, _reflect(F)), cfg).omega.coeffs
     stepped_then_reflected = _reflect(step(SolverState(0.0, F), cfg).omega).coeffs
     assert _rel(reflected_then_stepped, stepped_then_reflected) <= 1e-13
+
+
+def _swap_generators(F):
+    """Coefficients of -omega(S^-1 x), S the reflection swapping xi and eta:
+    mode (m, n) goes to (n, m), and the orientation flip negates omega."""
+    return SpectralField(F.grid, -F.coeffs.T)
+
+
+def _quarter_turn(F):
+    """Coefficients of omega(R^-1 x), R the rotation taking xi to eta and eta
+    to -xi: mode (m, n) goes to (-n, m)."""
+    i = (-np.arange(F.grid.n1)) % F.grid.n1
+    return SpectralField(F.grid, F.coeffs.T[i])
+
+
+def _flip_first_generator(F):
+    """Coefficients of -omega(x') with xi' = -xi, an orientation-reversing
+    isometry of the square lattice: mode (m, n) goes to (-m, n)."""
+    i = (-np.arange(F.grid.n1)) % F.grid.n1
+    return SpectralField(F.grid, -F.coeffs[i])
+
+
+@pytest.mark.parametrize("preset,move", [
+    ("hexagonal", _swap_generators),
+    ("square", _quarter_turn),
+    ("square", _flip_first_generator),
+    ("square", _swap_generators),
+])
+def test_step_commutes_with_lattice_isometries(preset, move):
+    basis = preset_basis(preset)
+    grid, F = _perturbed_state(basis, classify_eigenspace(basis))
+    cfg = SolverConfig(grid, dt=5e-2, t_end=1.0)
+    moved_then_stepped = step(SolverState(0.0, move(F)), cfg).omega.coeffs
+    stepped_then_moved = move(step(SolverState(0.0, F), cfg).omega).coeffs
+    assert _rel(moved_then_stepped, stepped_then_moved) <= 1e-13
+
+
+def test_orientation_reversing_maps_need_the_sign(hex_basis, hex_info):
+    # without the sign flip the swap is no symmetry: the advection term flips
+    grid, F = _perturbed_state(hex_basis, hex_info)
+    cfg = SolverConfig(grid, dt=5e-2, t_end=1.0)
+
+    def swap(G):
+        return SpectralField(G.grid, G.coeffs.T)
+
+    moved_then_stepped = step(SolverState(0.0, swap(F)), cfg).omega.coeffs
+    stepped_then_moved = swap(step(SolverState(0.0, F), cfg).omega).coeffs
+    assert _rel(moved_then_stepped, stepped_then_moved) > 1e-6
 
 
 def test_half_tables_are_slices_of_the_full_table(case):
