@@ -104,9 +104,9 @@ def cmd_census(args) -> int:
 
 def cmd_simulate(args) -> int:
     man = ExperimentManifest.from_file(args.manifest)
+    config = man.solver_config()
     outdir = Path(args.output or man.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = man.solver_config()
     reference = man.reference_coeffs()
     omega0 = synthesize_eigenstate(reference, config.grid)
     snapshots, diag = run(config, omega0, target=reference, p_norm=man.p_norm,
@@ -168,6 +168,7 @@ def cmd_stability(args) -> int:
     seeds = tuple(args.seed) if args.seed else man.seeds
     if not epsilons or not seeds:
         raise ManifestError("need at least one epsilon and one seed")
+    man.solver_config()  # a t_end or snapshot times the run cannot honour fail here
     outdir = Path(args.output or man.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = [(eps, seed) for eps in epsilons for seed in seeds]

@@ -305,30 +305,41 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
     return math.sqrt(dist_sq), _wrap_to_cell(p, c.info)
 
 
+# An entry is 2 npairs x n1 n2 floats, 0.75 MiB for dim 6 at 128^2.
+@lru_cache(maxsize=8)
+def _lp_parts(grid: Grid, c: EigenstateCoeffs) -> np.ndarray:
+    """The rows C_1..C_k, S_1..S_k of ``_LpObjective.parts`` on the grid's
+    samples, built once per (grid, reference) and read-only."""
+    _mode_indices(c.info, grid)  # resolvability check
+    mcoords = np.array(c.info.k_coords, dtype=float)
+    y1 = np.arange(grid.n1)[:, None] / grid.n1
+    y2 = np.arange(grid.n2)[None, :] / grid.n2
+    cos_parts, sin_parts = [], []
+    for (m, n), a, al in zip(mcoords, c.amps, c.phases):
+        theta = _TWO_PI * (m * y1 + n * y2) + al
+        cos_parts.append((a * np.cos(theta)).ravel())
+        sin_parts.append((a * np.sin(theta)).ravel())
+    parts = np.array(cos_parts + sin_parts)
+    parts.setflags(write=False)
+    return parts
+
+
 class _LpObjective:
     """J(s, t) = cell-quadrature integral of |f - w(. - s xi - t eta)|^p on f's
     samples, with its gradient and Hessian in the cell coordinates (s, t).
 
     A translation by s xi + t eta shifts mode i's phase by
     d_i = 2 pi (m_i s + n_i t).  With C_i, S_i the mode's cosine and sine
-    parts (the rows of ``parts``, built once), the translated mode is
-    U_i = cos d_i C_i + sin d_i S_i and its phase derivative is
+    parts (the rows of ``parts``, cached by ``_lp_parts``), the translated
+    mode is U_i = cos d_i C_i + sin d_i S_i and its phase derivative is
     V_i = -sin d_i C_i + cos d_i S_i, so every evaluation is one small
     matrix times ``parts``.
     """
 
     def __init__(self, f: RealField, c: EigenstateCoeffs, p_norm: float):
         grid = f.grid
-        _mode_indices(c.info, grid)  # resolvability check
         mcoords = np.array(c.info.k_coords, dtype=float)
-        y1 = np.arange(grid.n1)[:, None] / grid.n1
-        y2 = np.arange(grid.n2)[None, :] / grid.n2
-        cos_parts, sin_parts = [], []
-        for (m, n), a, al in zip(mcoords, c.amps, c.phases):
-            theta = _TWO_PI * (m * y1 + n * y2) + al
-            cos_parts.append((a * np.cos(theta)).ravel())
-            sin_parts.append((a * np.sin(theta)).ravel())
-        self.parts = np.array(cos_parts + sin_parts)
+        self.parts = _lp_parts(grid, c)
         self.samples = f.samples.ravel()
         self.freq = _TWO_PI * mcoords  # row i: the derivative of d_i in (s, t)
         self.npairs = len(mcoords)

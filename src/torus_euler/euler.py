@@ -4,7 +4,11 @@ The vorticity is advanced in mode space with classical fixed-step RK4; the
 advection term is evaluated pointwise in sample space and truncated with
 the two-thirds rule, which removes all aliasing from the quadratic
 nonlinearity.  The vorticity is real, so the solver keeps only the rfft2
-half spectrum (columns 0..n2/2) and uses real transforms; the public
+half spectrum (columns 0..n2/2).  Its transforms are 1-D ``numpy.fft``
+calls written into buffers that a ``_Kernel`` allocates once per run:
+``ifft`` over axis 0 then ``irfft`` over axis 1, and back with ``rfft``
+over axis 1 then ``fft`` over axis 0.  The axis-0 transforms skip the
+half-spectrum columns that the two-thirds rule keeps at zero.  The public
 ``rhs`` and ``step`` take and return full-layout SpectralFields.
 Diagnostics track the conserved quantities (energy, enstrophy, higher
 Casimirs, mean velocity) and, when a target eigenstate is given, the
@@ -18,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 
 from .errors import NonZeroMean, NumericalBlowup
 from .eigenstate import (
@@ -30,7 +33,6 @@ from .eigenstate import (
 )
 from .spectral import (
     Grid,
-    HalfModeTable,
     RealField,
     SpectralField,
     analyze,
@@ -87,16 +89,35 @@ class SolverConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.integrator != "rk4":
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.dealias not in ("two_thirds", "none"):
             raise ValueError(f"unknown dealias mode {self.dealias!r}")
         if self.diag_stride < 1:
             raise ValueError("diag_stride must be >= 1")
+        ratio = self.t_end / self.dt
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(
+                f"t_end = {self.t_end!r} is not a whole number of steps of dt = {self.dt!r}")
+        outside = [ts for ts in self.snapshot_times if not 0.0 <= ts <= self.t_end]
+        if outside:
+            raise ValueError(
+                f"snapshot times {outside} lie outside [0, t_end = {self.t_end!r}]")
+        if len(self.snapshot_steps()) < len(self.snapshot_times):
+            raise ValueError(f"two of the snapshot times {self.snapshot_times} fall on "
+                             f"the same step of dt = {self.dt!r}")
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.t_end / self.dt)
+
+    def snapshot_steps(self) -> set[int]:
+        """The step indices of the snapshot times (the nearest steps)."""
+        return {round(ts / self.dt) for ts in self.snapshot_times}
 
 
 @dataclass
@@ -150,76 +171,121 @@ class AdmissibilityReport:
         return not self.failed
 
 
-def _mask(table: HalfModeTable, config: SolverConfig) -> np.ndarray:
-    return table.dealias if config.dealias == "two_thirds" else None
+class _Kernel:
+    """Preallocated workspace of the RK4 loop on one grid, so that a step
+    allocates nothing.
 
-
-def _samples(c: np.ndarray, table: HalfModeTable) -> np.ndarray:
-    """Grid samples of half-spectrum coefficients normalised as by ``analyze``."""
-    return irfft2(c, s=table.shape, norm="forward")
-
-
-def _rhs_raw(c: np.ndarray, table: HalfModeTable, mask) -> np.ndarray:
-    """Advection right-hand side -(v . grad omega) on half-spectrum coefficients.
-
-    Five real transforms: four inverse ones to samples of the velocity and
-    the vorticity gradient, one forward one of their pointwise product.
+    Under the two-thirds rule only the first ``fwd`` = (n2 - 1)//3 + 1
+    half-spectrum columns of a tendency can be nonzero, so the forward column
+    transform runs on those alone.  With ``masked_state`` (``run``, whose
+    state is masked like every tendency) the state's columns past ``fwd``
+    stay zero too, and the inverse column transforms skip them as well;
+    otherwise they use the full half width.  Pointwise products and stage
+    updates run on whole arrays, which numpy does faster than on the
+    strided leading columns.
     """
-    psi = c * table.inv_lap
-    v1 = _samples(psi * table.dy, table)
-    v2 = _samples(psi * table.dx, table)  # sign folded in below
-    wx = _samples(c * table.dx, table)
-    wy = _samples(c * table.dy, table)
-    v1 *= wx
-    v2 *= wy
-    v1 -= v2  # v2 carries a minus sign: v = (d2 psi, -d1 psi)
-    out = rfft2(v1, norm="forward")
-    np.negative(out, out=out)
-    if mask is not None:
-        out *= mask
-    out[0, 0] = 0.0
-    return out
 
+    def __init__(self, grid: Grid, dealias: str, masked_state: bool):
+        self.table = table = half_modes(grid)
+        n1, n2 = table.shape
+        half = n2 // 2 + 1
+        if dealias == "two_thirds":
+            self.fwd = (n2 - 1) // 3 + 1
+            # numpy casts a bool or float multiplier to complex for every
+            # product; stored complex, it gives the same bits with no buffer
+            self.mask = table.dealias.astype(complex)
+        else:
+            self.fwd, self.mask = half, None
+        self.width = self.fwd if masked_state else half
+        self.inv_lap = table.inv_lap.astype(complex)
+        self.psi, self.prod = np.empty((2, n1, half), dtype=complex)
+        self.cols = np.zeros((n1, half), dtype=complex)  # zero past ``width``
+        self.rows = np.empty((n1, half), dtype=complex)
+        self.v1, self.v2, self.w = np.empty((3, n1, n2))
+        # tendencies are written only up to ``fwd``; the rest stays zero
+        self.acc, self.k, self.stage = np.zeros((3, n1, half), dtype=complex)
+        # One factor 1/(n1 n2) on the row transforms, as a 2-D transform
+        # normalised "forward" applies it: 1/n2 and then 1/n1 would round
+        # differently where n1 or n2 is not a power of two.
+        self.scale = 1.0 / (n1 * n2)
 
-def _rk4(c: np.ndarray, table: HalfModeTable, mask, dt: float, stage: np.ndarray):
-    """Advance the half spectrum ``c`` by one classical RK4 step, in place.
+    def samples(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Grid samples of half-spectrum coefficients normalised as by
+        ``analyze``; reads the first ``width`` columns of ``c`` only."""
+        np.fft.ifft(c[:, :self.width], axis=0, norm="forward",
+                    out=self.cols[:, :self.width])
+        return np.fft.irfft(self.cols, n=self.table.shape[1], axis=1, norm="forward",
+                            out=out)
 
-    ``stage`` is scratch space shaped like ``c``; the first tendency's array
-    accumulates k1 + 2 k2 + 2 k3 + k4.
-    """
-    acc = _rhs_raw(c, table, mask)
-    np.multiply(acc, 0.5 * dt, out=stage)
-    stage += c
-    k = _rhs_raw(stage, table, mask)
-    np.multiply(k, 0.5 * dt, out=stage)
-    stage += c
-    k *= 2.0
-    acc += k
-    k = _rhs_raw(stage, table, mask)
-    np.multiply(k, dt, out=stage)
-    stage += c
-    k *= 2.0
-    acc += k
-    acc += _rhs_raw(stage, table, mask)
-    acc *= dt / 6.0
-    c += acc
-    c[0, 0] = 0.0
+    def velocity(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Samples of d2 psi and d1 psi, in the ``v1`` and ``v2`` buffers;
+        the velocity is (d2 psi, -d1 psi)."""
+        np.multiply(c, self.inv_lap, out=self.psi)
+        self.samples(np.multiply(self.psi, self.table.dy, out=self.prod), self.v1)
+        self.samples(np.multiply(self.psi, self.table.dx, out=self.prod), self.v2)
+        return self.v1, self.v2
+
+    def rhs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Advection right-hand side -(v . grad omega) of the half spectrum
+        ``c``, written into the first ``fwd`` columns of ``out``, whose other
+        columns must be zero.
+
+        Five real transforms: four inverse ones to samples of the velocity and
+        the vorticity gradient, one forward one of their pointwise product.
+        """
+        v1, v2 = self.velocity(c)
+        self.samples(np.multiply(c, self.table.dx, out=self.prod), self.w)
+        v1 *= self.w
+        self.samples(np.multiply(c, self.table.dy, out=self.prod), self.w)
+        v2 *= self.w
+        v2 -= v1  # exactly -(v1 wx - v2 wy): the tendency's sign comes free
+        np.fft.rfft(v2, axis=1, out=self.rows)
+        rows_re = self.rows.view(float)
+        rows_re *= self.scale
+        np.fft.fft(self.rows[:, :self.fwd], axis=0, out=out[:, :self.fwd])
+        if self.mask is not None:
+            out *= self.mask
+        out[0, 0] = 0.0
+        return out
+
+    def step(self, c: np.ndarray, dt: float) -> None:
+        """Advance the half spectrum ``c`` by one classical RK4 step, in place.
+
+        ``acc`` accumulates k1 + 2 k2 + 2 k3 + k4.
+        """
+        acc, k, stage = self.acc, self.k, self.stage
+        self.rhs(c, acc)
+        np.multiply(acc, 0.5 * dt, out=stage)
+        stage += c
+        self.rhs(stage, k)
+        np.multiply(k, 0.5 * dt, out=stage)
+        stage += c
+        k *= 2.0
+        acc += k
+        self.rhs(stage, k)
+        np.multiply(k, dt, out=stage)
+        stage += c
+        k *= 2.0
+        acc += k
+        acc += self.rhs(stage, k)
+        acc *= dt / 6.0
+        c += acc
+        c[0, 0] = 0.0
 
 
 def rhs(omega: SpectralField, dealias: str = "two_thirds") -> SpectralField:
     """Instantaneous vorticity tendency of the Euler flow."""
     if abs(omega.coeffs[0, 0]) > 1e-12:
         raise NonZeroMean(f"zero mode is {omega.coeffs[0, 0]:.3e}")
-    table = half_modes(omega.grid)
-    mask = table.dealias if dealias == "two_thirds" else None
-    return full_spectrum(omega.grid, _rhs_raw(half_spectrum(omega), table, mask))
+    c = half_spectrum(omega)
+    out = _Kernel(omega.grid, dealias, masked_state=False).rhs(c, np.zeros_like(c))
+    return full_spectrum(omega.grid, out)
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
     """One classical RK4 step of a full-layout state; ``run`` keeps the half spectrum."""
-    table = half_modes(config.grid)
     c = half_spectrum(state.omega)
-    _rk4(c, table, _mask(table, config), config.dt, np.empty_like(c))
+    _Kernel(config.grid, config.dealias, masked_state=False).step(c, config.dt)
     return SolverState(state.t + config.dt, full_spectrum(config.grid, c))
 
 
@@ -280,17 +346,12 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     F0 = analyze(omega0) if isinstance(omega0, RealField) else omega0
     if abs(F0.coeffs[0, 0]) > 1e-12:
         raise NonZeroMean("initial vorticity must be mean-zero")
-    mask = _mask(table, config)
+    kernel = _Kernel(grid, config.dealias, masked_state=True)
     c = half_spectrum(F0)
-    if mask is not None:
-        c *= mask
+    if kernel.mask is not None:
+        c *= kernel.mask
 
-    n_steps = int(round(config.t_end / config.dt)) if config.t_end > 0 else 0
-    psi = c * table.inv_lap
-    vmax = max(
-        float(np.max(np.abs(_samples(psi * table.dy, table)))),
-        float(np.max(np.abs(_samples(psi * table.dx, table)))),
-    )
+    vmax = max(float(np.max(np.abs(v))) for v in kernel.velocity(c))
     min_cell = _min_cell_size(grid)
     if vmax > 0 and config.dt > 0.5 * min_cell / vmax:
         warnings.warn(
@@ -299,27 +360,24 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
             stacklevel=2,
         )
 
-    snap_steps = {}
-    for ts in config.snapshot_times:
-        snap_steps.setdefault(int(round(ts / config.dt)), ts)
-
+    n_steps = config.n_steps
+    snap_steps = config.snapshot_steps()
     rows, snapshots = [], []
     meta = dict(meta or {})
     meta.setdefault("area", grid.area)
-    w0 = _samples(c, table)
+    w0 = kernel.samples(c)
     rows.append(_diag_row(0.0, c, w0, grid, table, target, p_norm))
     if 0 in snap_steps:
         snapshots.append((0.0, RealField(grid, w0.copy())))
     max0 = max(float(np.max(np.abs(w0))), 1e-300)
 
-    stage = np.empty_like(c)
     for istep in range(1, n_steps + 1):
-        _rk4(c, table, mask, config.dt, stage)
+        kernel.step(c, config.dt)
         t = istep * config.dt
         if istep in snap_steps:
-            snapshots.append((t, RealField(grid, _samples(c, table))))
+            snapshots.append((t, RealField(grid, kernel.samples(c))))
         if istep % config.diag_stride == 0 or istep == n_steps:
-            w = _samples(c, table)
+            w = kernel.samples(c)
             maxw = float(np.max(np.abs(w)))
             if not math.isfinite(maxw) or maxw > BLOWUP_FACTOR * max0:
                 raise NumericalBlowup(

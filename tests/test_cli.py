@@ -174,6 +174,27 @@ def test_stability_sweep_worker_pool(tmp_path, capsys, monkeypatch):
     assert len(files) == 4
 
 
+def test_unhonourable_snapshots_exit_2(tmp_path, capsys):
+    path = _small_manifest(tmp_path, snapshot_times=(0.1, 0.105))
+    code, _, err = run_cli(capsys, "simulate", "--manifest", str(path))
+    assert code == 2
+    assert "same step" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fractional_step_count_exits_2_before_any_job(tmp_path, capsys):
+    outdir = tmp_path / "never"
+    code, _, err = run_cli(
+        capsys, "stability", "--preset", "hexagonal",
+        "--coeffs", "1 0 1 0 1 0", "--eps", "0.01", "--seed", "7",
+        "--resolution", "32", "--dt", "0.02", "--t-end", "0.15",
+        "--output", str(outdir),
+    )
+    assert code == 2
+    assert "whole number of steps" in err
+    assert not outdir.exists()
+
+
 def test_blowup_exits_3(tmp_path, capsys):
     path = _small_manifest(tmp_path, reference=(200.0, 0.0, 150.0, 0.0, 0.0, 0.0),
                            dt=2.0, t_end=20.0, diag_stride=1, snapshot_times=())

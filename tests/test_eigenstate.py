@@ -27,7 +27,7 @@ from torus_euler import (
     synthesize_eigenstate,
     translate_coeffs,
 )
-from torus_euler.eigenstate import circ_dist
+from torus_euler.eigenstate import _LpObjective, circ_dist
 from torus_euler.spectral import random_mean_zero_field, sample_points
 
 TAU = 2.0 * math.pi
@@ -266,6 +266,18 @@ def test_orbit_distance_general_p(hex_info, hex_grid, rng):
     assert max(circ_dist(a, b) for a, b in zip(got.phases, want.phases)) < 1e-6
     d0, _ = orbit_distance(shifted, c, 4.0)
     assert d0 <= 1e-7
+
+
+def test_lp_parts_built_once_per_grid_and_reference(hex_info, hex_grid, rng):
+    c = EigenstateCoeffs(hex_info, (1.0, 0.7, 0.4), (0.3, 5.1, 2.2))
+    same = EigenstateCoeffs(hex_info, (1.0, 0.7, 0.4), (0.3, 5.1, 2.2))
+    f = random_mean_zero_field(hex_grid, rng)
+    first = _LpObjective(f, c, 4.0)
+    again = _LpObjective(synthesize_eigenstate(c, hex_grid), same, 3.0)
+    assert again.parts is first.parts
+    assert not first.parts.flags.writeable
+    other = EigenstateCoeffs(hex_info, (1.0, 0.7, 0.4), (0.3, 5.1, 2.3))
+    assert _LpObjective(f, other, 4.0).parts is not first.parts
 
 
 @pytest.mark.parametrize("p_norm", [math.inf, math.nan, 0.5])

@@ -200,3 +200,27 @@ def test_config_validation(hex_grid):
         SolverConfig(hex_grid, dt=1e-2, t_end=1.0, integrator="euler")
     with pytest.raises(ValueError):
         SolverConfig(hex_grid, dt=1e-2, t_end=1.0, dealias="half")
+
+
+@pytest.mark.parametrize("dt,t_end,snaps,match", [
+    (0.1, 1.25, (), "whole number of steps"),
+    (0.1, 1e-12, (), "whole number of steps"),
+    (1e-320, 1.0, (), "whole number of steps"),
+    (math.inf, 1.0, (), "dt must be"),
+    (0.1, math.nan, (), "t_end must be"),
+    (0.1, 1.0, (-0.1,), "outside"),
+    (0.1, 1.0, (0.5, 5.0), "outside"),
+    (0.1, 1.0, (0.5, 0.52), "same step"),
+    (0.1, 1.0, (0.5, 0.5), "same step"),
+])
+def test_config_rejects_what_the_run_cannot_honour(hex_grid, dt, t_end, snaps, match):
+    with pytest.raises(ValueError, match=match):
+        SolverConfig(hex_grid, dt=dt, t_end=t_end, snapshot_times=snaps)
+
+
+@pytest.mark.parametrize("dt,t_end", [(0.02, 0.2), (0.01, 0.1), (0.01, 2.0), (0.01, 20.0),
+                                      (0.005, 2.5), (0.01, 0.07), (0.1, 0.3)])
+def test_config_accepts_whole_step_counts(hex_grid, dt, t_end):
+    cfg = SolverConfig(hex_grid, dt=dt, t_end=t_end, snapshot_times=(0.0, t_end))
+    assert abs(cfg.n_steps * dt - t_end) <= 1e-12 * t_end
+    assert cfg.snapshot_steps() == {0, cfg.n_steps}

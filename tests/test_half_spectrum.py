@@ -1,13 +1,19 @@
-"""The half-spectrum solver core against the full-complex one it replaced,
-plus exact symmetry checks on ``step``.
+"""The half-spectrum solver core against the solvers it replaced, plus exact
+symmetry checks on ``step``.
 
 ``_oracle_rhs``/``_oracle_step`` are the solver as it stood before the move
 to the rfft2 layout: every transform a full complex fft2/ifft2 on the FFT
-layout.  They are kept here only as a reference.
+layout.  ``_scipy_rhs``/``_scipy_rk4`` are the half-spectrum solver before
+its preallocated kernel: 2-D ``scipy.fft`` transforms and fresh arrays for
+every product.  The kernel must reproduce the latter bit for bit.  Both are
+kept here only as references.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import irfft2, rfft2
 
 from torus_euler import (
     EigenstateCoeffs,
@@ -23,10 +29,12 @@ from torus_euler import (
     preset_basis,
     project_to_e1,
     rhs,
+    run,
     step,
     synthesize,
     synthesize_eigenstate,
 )
+from torus_euler.euler import _Kernel
 from torus_euler.spectral import (
     full_spectrum,
     half_modes,
@@ -61,6 +69,47 @@ def _oracle_step(c, grid, dt, dealias="two_thirds"):
     return out
 
 
+def _scipy_samples(c, table):
+    return irfft2(c, s=table.shape, norm="forward")
+
+
+def _scipy_rhs(c, table, mask):
+    psi = c * table.inv_lap
+    v1 = _scipy_samples(psi * table.dy, table)
+    v2 = _scipy_samples(psi * table.dx, table)
+    wx = _scipy_samples(c * table.dx, table)
+    wy = _scipy_samples(c * table.dy, table)
+    v1 *= wx
+    v2 *= wy
+    v1 -= v2
+    out = rfft2(v1, norm="forward")
+    np.negative(out, out=out)
+    if mask is not None:
+        out *= mask
+    out[0, 0] = 0.0
+    return out
+
+
+def _scipy_rk4(c, table, mask, dt, stage):
+    acc = _scipy_rhs(c, table, mask)
+    np.multiply(acc, 0.5 * dt, out=stage)
+    stage += c
+    k = _scipy_rhs(stage, table, mask)
+    np.multiply(k, 0.5 * dt, out=stage)
+    stage += c
+    k *= 2.0
+    acc += k
+    k = _scipy_rhs(stage, table, mask)
+    np.multiply(k, dt, out=stage)
+    stage += c
+    k *= 2.0
+    acc += k
+    acc += _scipy_rhs(stage, table, mask)
+    acc *= dt / 6.0
+    c += acc
+    c[0, 0] = 0.0
+
+
 @pytest.fixture(params=["hexagonal", "rectangular"])
 def case(request, hex_basis, hex_info, rect_basis, rect_info):
     """A 64^2 grid and a perturbed eigenstate on it, with content up to the
@@ -70,8 +119,8 @@ def case(request, hex_basis, hex_info, rect_basis, rect_info):
     return _perturbed_state(basis, info)
 
 
-def _perturbed_state(basis, info):
-    grid = Grid(basis, 64, 64)
+def _perturbed_state(basis, info, n=64):
+    grid = Grid(basis, n, n)
     rng = np.random.default_rng(7)
     ref = EigenstateCoeffs(info, tuple(rng.uniform(0.5, 1.0, info.npairs)),
                            tuple(rng.uniform(0.0, 6.0, info.npairs)))
@@ -92,6 +141,53 @@ def test_one_step_matches_full_complex_oracle(case, dealias):
     cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
     got = step(SolverState(0.0, F), cfg).omega.coeffs
     assert _rel(got, _oracle_step(F.coeffs, grid, 1e-2, dealias)) <= 1e-13
+
+
+@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
+def test_one_step_is_bitwise_the_scipy_step(case, dealias):
+    grid, F = case
+    table = half_modes(grid)
+    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
+    want = half_spectrum(F)
+    _scipy_rk4(want, table, table.dealias if dealias == "two_thirds" else None,
+               1e-2, np.empty_like(want))
+    assert np.array_equal(step(SolverState(0.0, F), cfg).omega.coeffs,
+                          full_spectrum(grid, want).coeffs)
+
+
+@pytest.mark.parametrize("preset,n", [("hexagonal", 128), ("square", 64),
+                                      ("rectangular:1.3", 48)])
+def test_run_is_bitwise_the_scipy_loop(preset, n):
+    # at 48, no power of two, only a single 1/(n1 n2) forward factor gives these bits
+    basis = preset_basis(preset)
+    grid, F = _perturbed_state(basis, classify_eigenspace(basis), n)
+    table = half_modes(grid)
+    cfg = SolverConfig(grid, dt=1e-2, t_end=2.0, diag_stride=50, snapshot_times=(2.0,))
+    (t, got), = run(cfg, F)[0]
+    want = half_spectrum(F) * table.dealias
+    stage = np.empty_like(want)
+    for _ in range(200):
+        _scipy_rk4(want, table, table.dealias, 1e-2, stage)
+    assert t == 200 * 1e-2
+    assert np.array_equal(got.samples, _scipy_samples(want, table))
+
+
+def test_kernel_steps_allocate_nothing(hex_basis, hex_info):
+    grid, F = _perturbed_state(hex_basis, hex_info, 128)
+    kernel = _Kernel(grid, "two_thirds", masked_state=True)
+    c = half_spectrum(F) * kernel.mask
+    kernel.step(c, 1e-2)  # warm-up: transform plans
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in range(5):
+            kernel.step(c, 1e-2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one fresh 128^2 array is 128 KiB
+    assert peak - base < 16 * 1024
 
 
 def test_rhs_matches_full_complex_oracle(case):
