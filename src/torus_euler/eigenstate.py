@@ -12,9 +12,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BadExponent, GridTooCoarse, MixedEigenspace, NonZeroMean
 from .lattice import EigenspaceInfo, classify_eigenspace
@@ -421,11 +421,84 @@ def _lp_newton(obj: _LpObjective, st: np.ndarray) -> tuple[np.ndarray, float]:
     return st, J
 
 
+# Nelder-Mead for p = 1: iteration cap, and the simplex's spread in the
+# coordinates and in the values below which it counts as converged.
+_NM_MAXITER = 200
+_NM_XATOL = 1e-10
+_NM_FATOL = 4.0 * np.finfo(float).eps
+
+
+class _Minimum(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun: Callable[[np.ndarray], float], x0) -> _Minimum:
+    """Nelder-Mead (Nelder & Mead 1965) on ``fun`` from ``x0``.
+
+    This is scipy's ``minimize(method="Nelder-Mead")`` with the options of
+    the p = 1 search, step for step and expression for expression, so that
+    its iterates are the same bits: the standard coefficients 1, 2, 1/2, 1/2
+    (reflection, expansion, contraction, shrink), a start simplex that moves
+    each coordinate by 5% (by 0.00025 if it is 0), and convergence once every
+    vertex lies within ``_NM_XATOL`` of the best and every value within
+    ``_NM_FATOL`` of its value, or after ``_NM_MAXITER`` iterations.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = len(x0)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(np.copy(x))
+
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    for it in range(_NM_MAXITER):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if it == _NM_MAXITER - 1 or (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
+                                     and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # contract outside the worst vertex if the reflection beat it,
+            # else inside; shrink towards the best if the contraction fails
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+    return _Minimum(sim[0], float(np.min(fsim)), nfev)
+
+
 def _orbit_distance_lp(f: RealField, c: EigenstateCoeffs,
                        p_norm: float) -> tuple[float, np.ndarray]:
     """Translation-minimized L^p distance on samples, searched from the exact
-    L2 minimizer: safeguarded Newton for p > 1, Nelder-Mead for p = 1, where
-    the Hessian vanishes almost everywhere."""
+    L2 minimizer: safeguarded Newton for p > 1, and for p = 1, where the
+    Hessian vanishes almost everywhere, the in-package Nelder-Mead
+    ``minimize`` on the objective divided by its value at the seed."""
     obj = _LpObjective(f, c, p_norm)
     st = np.array(_cell_coords(_orbit_distance_l2(_as_spectral(f), c)[1], c.info))
     if p_norm > 1:
@@ -433,10 +506,8 @@ def _orbit_distance_lp(f: RealField, c: EigenstateCoeffs,
     else:
         val = obj.value(st)
         if val > 0.0:
-            # scaled to 1 at the seed, so that fatol is a few ulps of J
-            res = minimize(lambda x: obj.value(x) / val, st, method="Nelder-Mead",
-                           options={"maxiter": 200, "xatol": 1e-10,
-                                    "fatol": 4.0 * np.finfo(float).eps})
+            # scaled to 1 at the seed, so that _NM_FATOL is a few ulps of J
+            res = minimize(lambda x: obj.value(x) / val, st)
             st, val = res.x, float(res.fun) * val
     p = (st[0] % 1.0) * np.asarray(c.info.basis.xi) + (st[1] % 1.0) * np.asarray(c.info.basis.eta)
     return val ** (1.0 / p_norm), p
@@ -449,8 +520,9 @@ def orbit_distance(f: RealField | SpectralField, c: EigenstateCoeffs,
 
     p_norm = 2 uses the exact spectral form on f's coefficients.  Other
     finite exponents start from the L2 minimizer and descend on f's samples:
-    Newton for p > 1, Nelder-Mead for p = 1.  Passing f in the form its
-    exponent uses saves a transform.
+    Newton for p > 1, and for p = 1 a Nelder-Mead search whose iterates are
+    bit for bit those of scipy's (scipy itself is not needed).  Passing f in
+    the form its exponent uses saves a transform.
     """
     if not 1.0 <= p_norm < math.inf:
         raise BadExponent(f"p_norm must be finite and >= 1, got {p_norm}")

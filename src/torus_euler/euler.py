@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,7 +84,6 @@ class SolverConfig:
     grid: Grid
     dt: float
     t_end: float
-    integrator: str = "rk4"
     dealias: str = "two_thirds"
     diag_stride: int = 10
     snapshot_times: tuple[float, ...] = ()
@@ -93,8 +93,6 @@ class SolverConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
-        if self.integrator != "rk4":
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.dealias not in ("two_thirds", "none"):
             raise ValueError(f"unknown dealias mode {self.dealias!r}")
         if self.diag_stride < 1:
@@ -273,19 +271,28 @@ class _Kernel:
         c[0, 0] = 0.0
 
 
+# An entry holds about 12 half-spectrum arrays, 1.5 MiB at 128^2.
+@lru_cache(maxsize=4)
+def _public_kernel(grid: Grid, dealias: str) -> _Kernel:
+    """The unmasked-state kernel of ``rhs`` and ``step``, kept per (grid,
+    dealias) for callers that step in a loop.  Its buffers carry nothing from
+    one call to the next, and neither function returns one of them."""
+    return _Kernel(grid, dealias, masked_state=False)
+
+
 def rhs(omega: SpectralField, dealias: str = "two_thirds") -> SpectralField:
     """Instantaneous vorticity tendency of the Euler flow."""
     if abs(omega.coeffs[0, 0]) > 1e-12:
         raise NonZeroMean(f"zero mode is {omega.coeffs[0, 0]:.3e}")
     c = half_spectrum(omega)
-    out = _Kernel(omega.grid, dealias, masked_state=False).rhs(c, np.zeros_like(c))
+    out = _public_kernel(omega.grid, dealias).rhs(c, np.zeros_like(c))
     return full_spectrum(omega.grid, out)
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
     """One classical RK4 step of a full-layout state; ``run`` keeps the half spectrum."""
     c = half_spectrum(state.omega)
-    _Kernel(config.grid, config.dealias, masked_state=False).step(c, config.dt)
+    _public_kernel(config.grid, config.dealias).step(c, config.dt)
     return SolverState(state.t + config.dt, full_spectrum(config.grid, c))
 
 

@@ -197,8 +197,6 @@ def test_config_validation(hex_grid):
     with pytest.raises(ValueError):
         SolverConfig(hex_grid, dt=-1.0, t_end=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(hex_grid, dt=1e-2, t_end=1.0, integrator="euler")
-    with pytest.raises(ValueError):
         SolverConfig(hex_grid, dt=1e-2, t_end=1.0, dealias="half")
 
 

@@ -34,7 +34,7 @@ from torus_euler import (
     synthesize,
     synthesize_eigenstate,
 )
-from torus_euler.euler import _Kernel
+from torus_euler.euler import _Kernel, _public_kernel
 from torus_euler.spectral import (
     full_spectrum,
     half_modes,
@@ -188,6 +188,62 @@ def test_kernel_steps_allocate_nothing(hex_basis, hex_info):
         tracemalloc.stop()
     # one fresh 128^2 array is 128 KiB
     assert peak - base < 16 * 1024
+
+
+@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
+def test_public_step_and_rhs_return_fresh_arrays(case, dealias):
+    grid, F = case
+    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
+    want = half_spectrum(F)
+    fresh = _Kernel(grid, dealias, masked_state=False)
+    want_rhs = fresh.rhs(want, np.zeros_like(want))
+    fresh.step(want, 1e-2)
+    first = step(SolverState(0.0, F), cfg).omega.coeffs
+    kept = first.copy()
+    second = step(SolverState(0.0, F), cfg).omega.coeffs
+    r1, r2 = rhs(F, dealias).coeffs, rhs(F, dealias).coeffs
+    assert np.array_equal(first, full_spectrum(grid, want).coeffs)
+    assert np.array_equal(second, first) and np.array_equal(first, kept)
+    assert np.array_equal(r1, full_spectrum(grid, want_rhs).coeffs)
+    assert np.array_equal(r2, r1)
+    buffers = [b for b in vars(_public_kernel(grid, dealias)).values()
+               if isinstance(b, np.ndarray)]
+    for out in (first, second, r1, r2):
+        assert not any(np.shares_memory(out, b) for b in buffers + [F.coeffs])
+    assert not np.shares_memory(first, second) and not np.shares_memory(r1, r2)
+
+
+def test_a_second_public_step_builds_no_kernel(hex_basis, hex_info):
+    grid, F = _perturbed_state(hex_basis, hex_info, 128)
+    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0)
+    state = step(SolverState(0.0, F), cfg)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        step(state, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A kernel's buffers take over 1.5 MiB at 128^2; the call itself copies
+    # the half spectrum in and extends it back to the full layout.
+    assert peak - base < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("preset,n", [("hexagonal", 64), ("square", 48),
+                                      ("rectangular:3.0", 48)])
+def test_step_is_exactly_time_reversible(preset, n):
+    # The tendency is quadratic in the state, so it is the same bits for -c,
+    # and every RK4 stage of (-c, -dt) is the negated stage of (c, dt).
+    basis = preset_basis(preset)
+    grid, F = _perturbed_state(basis, classify_eigenspace(basis), n)
+    kernel = _Kernel(grid, "two_thirds", masked_state=True)
+    forward = half_spectrum(F) * kernel.mask
+    backward = -forward
+    for _ in range(50):
+        kernel.step(forward, 1e-2)
+        kernel.step(backward, -1e-2)
+        assert np.array_equal(backward, -forward)
 
 
 def test_rhs_matches_full_complex_oracle(case):

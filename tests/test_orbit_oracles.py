@@ -5,10 +5,14 @@ Nelder-Mead pass between the 64x64 phase grid and the Newton polish;
 ``_oracle_lp`` is the L^p distance as it stood before the search started
 from the L2 minimizer: a 32x32 scan of the cell, then Nelder-Mead from its
 best point, with one full-grid objective call per scan point and per simplex
-vertex.  They are kept here only as references.
+vertex.  They are kept here only as references.  scipy's Nelder-Mead is
+also the oracle of ``eigenstate.minimize``, the package's own port of it.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -28,7 +32,15 @@ from torus_euler import (
     synthesize_eigenstate,
     translate_coeffs,
 )
-from torus_euler.eigenstate import _LpObjective, _mode_indices, _wrap_to_cell, circ_dist
+import torus_euler
+from torus_euler import eigenstate
+from torus_euler.eigenstate import (
+    _cell_coords,
+    _LpObjective,
+    _mode_indices,
+    _wrap_to_cell,
+    circ_dist,
+)
 from torus_euler.euler import band_limited_perturbation
 
 TAU = 2.0 * math.pi
@@ -252,3 +264,67 @@ def test_lp_derivatives_match_central_differences(preset, n, p_norm):
     fd_hess = np.array([(obj.local(st + h * e[a])[1] - obj.local(st - h * e[a])[1]) / (2 * h)
                         for a in range(2)])
     assert np.max(np.abs(fd_hess - hess)) <= 1e-4 * np.max(np.abs(hess))
+
+
+# the options that make scipy's Nelder-Mead the p = 1 search of ``orbit_distance``
+_NM_OPTIONS = {"maxiter": 200, "xatol": 1e-10, "fatol": 4.0 * np.finfo(float).eps}
+
+
+def _assert_scipys_search(fun, x0):
+    got = eigenstate.minimize(fun, x0)
+    want = minimize(fun, x0, method="Nelder-Mead", options=_NM_OPTIONS)
+    assert np.array_equal(got.x, want.x)
+    assert got.fun == want.fun
+    assert got.nfev == want.nfev
+    return got
+
+
+@pytest.mark.parametrize("preset,n,p_norm,eps,seed", [c for c in _lp_cases() if c[2] == 1.0])
+def test_nelder_mead_is_scipys_on_the_p1_objective(preset, n, p_norm, eps, seed):
+    c, _, f, _ = _lp_state(preset, n, p_norm, eps, seed)
+    obj = _LpObjective(f, c, p_norm)
+    st = np.array(_cell_coords(orbit_distance(f, c, 2.0)[1], c.info))
+    val = obj.value(st)
+    assert val > 0.0
+    _assert_scipys_search(lambda x: obj.value(x) / val, st)
+
+
+def test_nelder_mead_is_scipys_from_a_zero_coordinate():
+    # a zero coordinate starts the simplex 0.00025 away instead of 5%
+    res = _assert_scipys_search(
+        lambda x: float((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2),
+        np.array([-1.2, 0.0]))
+    assert np.max(np.abs(res.x - 1.0)) < 1e-4
+
+
+def test_nelder_mead_is_scipys_through_shrinks():
+    # Every point off the start simplex is worse than all its vertices, so each
+    # iteration is a reflection, an inside contraction and a shrink of two
+    # vertices, and the search ends at the iteration cap.
+    x0 = np.array([0.3, 0.7])
+    start = {(0.3, 0.7): 0.0, (0.3 * 1.05, 0.7): 1.0, (0.3, 0.7 * 1.05): 2.0}
+    res = _assert_scipys_search(lambda x: start.get((x[0], x[1]), 3.0), x0)
+    assert res.nfev == 3 + 4 * (eigenstate._NM_MAXITER - 1)
+    assert np.array_equal(res.x, x0) and res.fun == 0.0
+
+
+def test_runtime_does_not_import_scipy():
+    code = """
+import sys
+import torus_euler.cli
+from torus_euler import (EigenstateCoeffs, Grid, classify_eigenspace, orbit_distance,
+                         preset_basis, synthesize_eigenstate)
+info = classify_eigenspace(preset_basis("hexagonal"))
+grid = Grid(info.basis, 32, 32)
+c = EigenstateCoeffs(info, (1.0, 0.7, 0.4), (0.1, 0.2, 0.3))
+f = synthesize_eigenstate(EigenstateCoeffs(info, (0.9, 0.7, 0.5), (0.4, 0.2, 0.3)), grid)
+d, _ = orbit_distance(f, c, 1.0)
+assert d > 0.0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = os.path.dirname(os.path.dirname(torus_euler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
