@@ -7,10 +7,19 @@ amplitudes and one phase combination; eliminating two unknowns leaves a
 cubic, so the moment data pins the amplitudes down to at most 6 ordered
 triples and hence at most 12 orbits.  Lower dimensions need only the
 orders 2 and 4 and give at most 1 or 2 orbits.
+
+That cubic is 3 (x - A1^2)(x - A2^2)(x - A3^2) in the reference's own
+squared amplitudes, so ``orbit_census`` reads the solutions off the
+reference: the orderings of its amplitudes and, in 6D, the phase invariants
+theta and -theta.  The moment route (``moment_data``, ``reduce_to_cubic``,
+``solve_cubic``, ``back_substitute``, ``enumerate_candidates``) solves the
+same system numerically from the moments alone; it is the census's
+certified oracle in the tests, and ``verify`` checks the factored cubic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +31,7 @@ from .errors import (
     InternalInvariant,
     UnsupportedMoment,
 )
-from .eigenstate import EigenstateCoeffs, same_orbit
+from .eigenstate import DEFAULT_ORBIT_TOL, EigenstateCoeffs, circ_dist, same_orbit
 
 __all__ = [
     "MomentData",
@@ -45,7 +54,6 @@ CENSUS_BOUNDS = {2: 1, 4: 2, 6: 12}
 
 TRIPLE_DEDUP = 1e-7   # max-norm below which squared-amplitude triples merge
 CLAMP = 1e-9          # tolerated negative excursion of a squared amplitude
-XYZ_TOL = 1e-10       # product threshold for the two-phase-branch case
 
 
 @dataclass(frozen=True)
@@ -341,52 +349,56 @@ def linf_datum(c: EigenstateCoeffs) -> float:
     return float(sum(c.amps))
 
 
+def _amplitude_orderings(amps: tuple[float, ...]) -> list[tuple[float, ...]]:
+    """One ordering of ``amps`` per class that ``same_orbit`` cannot tell apart, sorted.
+
+    The sorted amplitudes are merged with their neighbours within
+    DEFAULT_ORBIT_TOL into classes, and an ordering's sequence of class
+    labels is its canonical key.  The first ordering of each key is kept, so
+    ``amps`` itself stands for its own class, and every kept tuple is an
+    exact rearrangement of ``amps``.
+    """
+    order = sorted(range(len(amps)), key=amps.__getitem__)
+    label = [0] * len(amps)
+    for prev, i in zip(order, order[1:]):
+        label[i] = label[prev] + (amps[i] - amps[prev] > DEFAULT_ORBIT_TOL)
+    kept: dict[tuple[int, ...], tuple[float, ...]] = {}
+    for perm in itertools.permutations(range(len(amps))):
+        kept.setdefault(tuple(label[i] for i in perm), tuple(amps[i] for i in perm))
+    return sorted(kept.values())
+
+
 def orbit_census(reference: EigenstateCoeffs) -> OrbitCensus:
     """All translation orbits whose moment invariants match the reference.
+
+    The representatives are the distinct orderings of the reference's own
+    amplitudes, with phases (0, 0, -theta) and (0, 0, theta) in the 6D case,
+    theta being the reference's phase invariant.  One phase suffices where
+    ``same_orbit`` cannot tell theta from -theta: where they coincide, or
+    where A1 A2 A3 is within its tolerance of 0.  This is the
+    solution set of the moment system, since its cubic is
+    3 (x - A1^2)(x - A2^2)(x - A3^2); ``enumerate_candidates`` solves the
+    same system from moment data alone and is the census's test oracle.
 
     The list is a superset of the orbits actually equimeasurable with the
     reference (moments of the computed orders are necessary conditions),
     bounded by 1, 2, or 12 according to the eigenspace dimension, and is
-    guaranteed to contain the reference's own orbit.
+    checked to contain the reference's own orbit.
     """
     info = reference.info
-    reps: list[EigenstateCoeffs] = []
-    if info.dim == 2:
-        reps.append(EigenstateCoeffs(info, reference.amps, (0.0,)))
-    elif info.dim == 4:
-        md = moment_data(reference)
-        prod = 0.5 * (md.quartic - md.quadratic**2)  # x*y
-        disc = md.quadratic**2 - 4.0 * prod
-        if disc <= MULT_RTOL * (md.quadratic**2 + 4.0 * abs(prod)):
-            disc = 0.0
-        r = math.sqrt(max(disc, 0.0))
-        x, y = 0.5 * (md.quadratic + r), 0.5 * (md.quadratic - r)
-        x = _zero_floor(max(x, 0.0), md.quadratic)
-        y = _zero_floor(max(y, 0.0), md.quadratic)
-        for sq in ((x, y), (y, x)):
-            amps = (math.sqrt(sq[0]), math.sqrt(sq[1]))
-            reps.append(EigenstateCoeffs(info, amps, (0.0, 0.0)))
-    else:
-        md = moment_data(reference)
-        for t in enumerate_candidates(md):
-            amps = tuple(math.sqrt(v) for v in t.as_tuple())
-            prod = t.x * t.y * t.z
-            if prod > XYZ_TOL:
-                cosv = min(max(md.cubic / math.sqrt(prod), -1.0), 1.0)
-                for sign in (1.0, -1.0):
-                    alpha3 = (-sign * math.acos(cosv)) % (2.0 * math.pi)
-                    reps.append(EigenstateCoeffs(info, amps, (0.0, 0.0, alpha3)))
-            else:
-                reps.append(EigenstateCoeffs(info, amps, (0.0, 0.0, 0.0)))
-
-    distinct: list[EigenstateCoeffs] = []
-    for r in reps:
-        if not any(same_orbit(r, seen) for seen in distinct):
-            distinct.append(r)
-    if len(distinct) > CENSUS_BOUNDS[info.dim]:
+    branches = [(0.0,) * info.npairs]
+    if info.dim == 6:
+        theta = _theta(reference)
+        a1, a2, a3 = reference.amps
+        branches = [(0.0, 0.0, -theta)]
+        if a1 * a2 * a3 > DEFAULT_ORBIT_TOL and circ_dist(theta, -theta) > DEFAULT_ORBIT_TOL:
+            branches.append((0.0, 0.0, theta))
+    reps = tuple(EigenstateCoeffs(info, amps, phases)
+                 for amps in _amplitude_orderings(reference.amps) for phases in branches)
+    if len(reps) > CENSUS_BOUNDS[info.dim]:
         raise InternalInvariant(
-            f"census of size {len(distinct)} exceeds bound {CENSUS_BOUNDS[info.dim]}"
+            f"census of size {len(reps)} exceeds bound {CENSUS_BOUNDS[info.dim]}"
         )
-    if not any(same_orbit(reference, r) for r in distinct):
-        raise InconsistentMoments("reference state failed its own moment round-trip")
-    return OrbitCensus(info.dim, tuple(distinct), len(distinct))
+    if not any(same_orbit(reference, r) for r in reps):
+        raise InconsistentMoments("reference state is missing from its own census")
+    return OrbitCensus(info.dim, reps, len(reps))

@@ -158,6 +158,8 @@ class EigenspaceInfo:
 
     def compatible(self, other: "EigenspaceInfo", rtol: float = 1e-9) -> bool:
         """Whether two infos describe the same eigenspace of the same torus."""
+        if self is other:
+            return True
         if self.dim != other.dim or self.k_coords != other.k_coords:
             return False
         if abs(self.lambda1 - other.lambda1) > rtol * self.lambda1:

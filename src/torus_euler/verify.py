@@ -319,6 +319,23 @@ def check_cubic_roundtrip(n: int = 500, seed: int = 107) -> CheckResult:
                        f"{n} triples, worst recovery {worst:.2e}, max count {biggest}")
 
 
+def check_census_factored_cubic(n: int = 2000, seed: int = 112) -> CheckResult:
+    """The moment cubic of a hexagonal reference is 3 (x - A1^2)(x - A2^2)(x - A3^2)
+    to 1e-12 relative, zero and tied amplitudes included: the identity that
+    lets the census read its candidates off the reference's amplitudes."""
+    rng = np.random.default_rng(seed)
+    info = lat.classify_eigenspace(lat.preset_basis("hexagonal"))
+    worst = 0.0
+    for _ in range(n):
+        c = _random_state(rng, info, zero_frac=0.25, tie_frac=0.15)
+        md = cn.moment_data(c)
+        got = np.array(cn.reduce_to_cubic(md.quadratic, md.quartic, md.sextic_reduced))
+        want = 3.0 * np.poly(np.square(c.amps))
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    return CheckResult("census-factored-cubic", worst <= 1e-12,
+                       f"{n} references, worst coefficient error {worst:.2e}")
+
+
 def check_census_bounds(n: int = 200, seed: int = 108) -> CheckResult:
     """Census size bounds 1 / 2 / 12 and reference membership per dimension."""
     rng = np.random.default_rng(seed)
@@ -409,6 +426,30 @@ def check_orbit_distance(seed: int = 110) -> CheckResult:
             problems.append(f"case {i}: orthogonal distance {d2:.3e} vs {want_d:.3e}")
     return CheckResult("orbit-distance", not problems,
                        problems[0] if problems else "shift recovery and orthogonality ok")
+
+
+def check_time_reversal(n_steps: int = 50, resolution: int = 64,
+                        seed: int = 113) -> CheckResult:
+    """An RK4 step backwards in time from the negated state is the negated
+    forward step, bit for bit, over 50 steps on hexagonal 64^2: the tendency
+    is quadratic in the state, so every stage of (-c, -dt) negates exactly."""
+    rng = np.random.default_rng(seed)
+    basis = lat.preset_basis("hexagonal")
+    info = lat.classify_eigenspace(basis)
+    grid = sp.Grid(basis, resolution, resolution)
+    w = eig.synthesize_eigenstate(_random_state(rng, info, zero_frac=0.0), grid).samples
+    F = sp.analyze(sp.RealField(grid, w + 0.05 * sp.random_mean_zero_field(grid, rng).samples))
+    kernel = euler._Kernel(grid, "two_thirds", masked_state=True)
+    forward = sp.half_spectrum(F) * kernel.mask
+    forward[0, 0] = 0.0
+    backward = -forward
+    for i in range(n_steps):
+        kernel.step(forward, 1e-2)
+        kernel.step(backward, -1e-2)
+        if not np.array_equal(backward, -forward):
+            err = float(np.max(np.abs(backward + forward)))
+            return CheckResult("time-reversal", False, f"step {i + 1}: differs by {err:.2e}")
+    return CheckResult("time-reversal", True, f"{n_steps} steps at {resolution}^2, bitwise")
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +559,11 @@ FAST_CHECKS: list[Callable[[], CheckResult]] = [
     check_poincare,
     check_moment_certification,
     check_cubic_roundtrip,
+    check_census_factored_cubic,
     check_census_bounds,
     check_orbit_equivalence,
     check_orbit_distance,
+    check_time_reversal,
 ]
 
 FULL_CHECKS: list[Callable[[], CheckResult]] = [

@@ -7,6 +7,7 @@ from torus_euler import (
     DegenerateLeadingCoefficient,
     EigenstateCoeffs,
     InconsistentMoments,
+    InternalInvariant,
     UnsupportedMoment,
     back_substitute,
     enumerate_candidates,
@@ -19,6 +20,7 @@ from torus_euler import (
     solve_cubic,
 )
 from torus_euler.census import CENSUS_BOUNDS, MomentData, forward_moments, linf_datum
+from torus_euler.lattice import LatticeBasis, classify_eigenspace
 
 KAPPA = {2: 0.5, 3: 1.5, 4: 0.375, 6: 5.0 / 16.0}
 
@@ -231,9 +233,24 @@ def test_census_bounds_random(hex_info, square_info, rect_info, rng):
 def test_census_inconsistent_moments_guard(hex_info, monkeypatch):
     import torus_euler.census as cn
 
-    monkeypatch.setattr(cn, "enumerate_candidates", lambda md: [])
+    # candidates 1e-6 off the reference's amplitudes miss its orbit
+    monkeypatch.setattr(cn, "_amplitude_orderings",
+                        lambda amps: [tuple(a * (1.0 + 1e-6) for a in amps)])
     ref = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     with pytest.raises(InconsistentMoments):
+        cn.orbit_census(ref)
+    monkeypatch.setattr(cn, "_amplitude_orderings", lambda amps: [])
+    with pytest.raises(InconsistentMoments):
+        cn.orbit_census(ref)
+
+
+def test_census_bound_guard(hex_info, monkeypatch):
+    import torus_euler.census as cn
+
+    monkeypatch.setattr(cn, "_amplitude_orderings",
+                        lambda amps: [tuple(a + 0.1 * i for a in amps) for i in range(13)])
+    ref = EigenstateCoeffs(hex_info, (1.0, 0.5, 0.2), (0.0, 0.0, 1.0))
+    with pytest.raises(InternalInvariant):
         cn.orbit_census(ref)
 
 
@@ -242,3 +259,141 @@ def test_linf_datum(square_info, hex_info, hex_grid):
     assert linf_datum(c) == pytest.approx(1.9)
     with pytest.raises(UnsupportedMoment):
         linf_datum(EigenstateCoeffs(hex_info, (1, 1, 1), (0, 0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the moment route as the census's oracle
+
+XYZ_TOL = 1e-10  # squared-amplitude product above which both phase branches exist
+
+
+def _oracle_census(reference):
+    """The census from moment data alone: amplitudes from the roots of the
+    moment system, phases from the order-3 datum, duplicates removed
+    pairwise with same_orbit."""
+    import torus_euler.census as cn
+
+    info = reference.info
+    reps = []
+    if info.dim == 2:
+        reps.append(EigenstateCoeffs(info, reference.amps, (0.0,)))
+    elif info.dim == 4:
+        md = moment_data(reference)
+        prod = 0.5 * (md.quartic - md.quadratic**2)  # x*y
+        disc = md.quadratic**2 - 4.0 * prod
+        if disc <= cn.MULT_RTOL * (md.quadratic**2 + 4.0 * abs(prod)):
+            disc = 0.0
+        r = math.sqrt(max(disc, 0.0))
+        x, y = 0.5 * (md.quadratic + r), 0.5 * (md.quadratic - r)
+        x = cn._zero_floor(max(x, 0.0), md.quadratic)
+        y = cn._zero_floor(max(y, 0.0), md.quadratic)
+        for sq in ((x, y), (y, x)):
+            amps = (math.sqrt(sq[0]), math.sqrt(sq[1]))
+            reps.append(EigenstateCoeffs(info, amps, (0.0, 0.0)))
+    else:
+        md = moment_data(reference)
+        for t in enumerate_candidates(md):
+            amps = tuple(math.sqrt(v) for v in t.as_tuple())
+            prod = t.x * t.y * t.z
+            if prod > XYZ_TOL:
+                cosv = min(max(md.cubic / math.sqrt(prod), -1.0), 1.0)
+                for sign in (1.0, -1.0):
+                    alpha3 = (-sign * math.acos(cosv)) % (2.0 * math.pi)
+                    reps.append(EigenstateCoeffs(info, amps, (0.0, 0.0, alpha3)))
+            else:
+                reps.append(EigenstateCoeffs(info, amps, (0.0, 0.0, 0.0)))
+
+    distinct = []
+    for r in reps:
+        if not any(same_orbit(r, seen) for seen in distinct):
+            distinct.append(r)
+    assert len(distinct) <= CENSUS_BOUNDS[info.dim]
+    if not any(same_orbit(reference, r) for r in distinct):
+        raise InconsistentMoments("reference state failed its own moment round-trip")
+    return distinct
+
+
+_ROWS = {2: None, 4: ((1.0, 0.0), (0.0, 1.0)),
+         6: ((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))}
+
+
+def _turned_sheared_basis(rng, dim):
+    """A rectangular, square or hexagonal torus, rotated, scaled and given a
+    random unimodular change of basis."""
+    rows = _ROWS[dim] or ((1.0, 0.0), (0.0, rng.uniform(1.15, 1.6)))
+    a, b = (int(v) for v in rng.integers(-2, 3, 2))
+    u = [[1 + a * b, a], [b, 1]]
+    if rng.uniform() < 0.5:
+        u.reverse()
+    phi, scale = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 2.0)
+    c, s = math.cos(phi), math.sin(phi)
+    out = []
+    for ur in u:
+        x = ur[0] * rows[0][0] + ur[1] * rows[1][0]
+        y = ur[0] * rows[0][1] + ur[1] * rows[1][1]
+        out.append((scale * (c * x - s * y), scale * (s * x + c * y)))
+    return LatticeBasis(*out)
+
+
+def _reference(rng, info, zero_frac=0.25, tie_frac=0.15):
+    n = info.npairs
+    amps = rng.uniform(0.1, 2.0, n)
+    if n > 1 and rng.uniform() < zero_frac:
+        amps[rng.integers(n)] = 0.0
+    if n > 1 and rng.uniform() < tie_frac:
+        i, j = rng.choice(n, 2, replace=False)
+        amps[j] = amps[i]
+    return EigenstateCoeffs(info, tuple(amps), tuple(rng.uniform(0.0, 2.0 * math.pi, n)))
+
+
+def _pair_one_to_one(reps, others):
+    match = [[same_orbit(r, o) for o in others] for r in reps]
+    return (all(sum(row) == 1 for row in match)
+            and all(sum(col) == 1 for col in zip(*match)))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_census_agrees_with_moment_oracle(dim):
+    rng = np.random.default_rng(700 + dim)
+    compared = 0
+    for i in range(700):
+        if i % 10 == 0:
+            info = classify_eigenspace(_turned_sheared_basis(rng, dim))
+            assert info.dim == dim
+        ref = _reference(rng, info)
+        out = orbit_census(ref)
+        assert out.count == len(out.representatives) <= CENSUS_BOUNDS[dim]
+        assert any(same_orbit(ref, r) for r in out.representatives)
+        try:
+            want = _oracle_census(ref)
+        except InconsistentMoments:
+            continue
+        compared += 1
+        assert out.count == len(want)
+        assert _pair_one_to_one(out.representatives, want)
+    assert compared >= 650
+
+
+@pytest.mark.parametrize("amps,phases,count", [
+    # a zero amplitude, which the moment route returned as a root of 5e-13
+    ((1.788129800113965, 0.1074668527168996, 0.0),
+     (3.070842855506198, 5.915090287640561, 0.0), 6),
+    # two amplitudes 8e-6 apart: a near-double root of the moment cubic
+    ((0.8678429737528713, 0.8678347008283075, 1.504524085213497),
+     (5.428079164339087, 5.990455003911106, 3.615577436156172), 12),
+    ((1.0, 1.0, 1.0000001), (0.0, 0.0, 0.0), 3),
+    ((1.0, 1.001, 0.7), (0.0, 0.0, 0.0), 6),
+    # a tie inside same_orbit's tolerance: the two orderings of each such
+    # pair sort apart, with an ordering of a different orbit between them
+    ((1.0, 1.0 + 5e-9, 2.0), (0.3, 0.7, 0.0), 6),
+    # an amplitude product of 5e-6: same_orbit still tells theta from -theta
+    ((1.0, 1.0, 5e-6), (0.3, 0.7, 0.0), 6),
+], ids=["zero", "near-tie", "tie-1e-7", "tie-1e-3", "tie-5e-9", "small-product"])
+def test_census_at_degenerate_amplitudes(hex_info, amps, phases, count):
+    ref = EigenstateCoeffs(hex_info, amps, phases)
+    out = orbit_census(ref)
+    assert out.count == count
+    assert any(same_orbit(ref, r) for r in out.representatives)
+    for i, r in enumerate(out.representatives):
+        assert sorted(r.amps) == sorted(ref.amps)
+        assert not any(same_orbit(r, o) for o in out.representatives[i + 1:])

@@ -2,11 +2,14 @@
 
 import pytest
 
+from torus_euler import census, euler
 from torus_euler.verify import (
+    check_census_factored_cubic,
     check_orbit_distance,
     check_poincare,
     check_shortest_vector_geometry,
     check_spectral_transforms,
+    check_time_reversal,
 )
 
 
@@ -15,7 +18,31 @@ from torus_euler.verify import (
     check_spectral_transforms,
     check_poincare,
     check_orbit_distance,
+    check_census_factored_cubic,
+    check_time_reversal,
 ], ids=lambda fn: fn.__name__)
 def test_property_battery(check):
     result = check()
     assert result.ok, f"{result.name}: {result.detail}"
+
+
+def test_factored_cubic_check_sees_a_wrong_constant_term(monkeypatch):
+    reduce = census.reduce_to_cubic
+
+    def off(c1, c2, c3):
+        a, b, c, d = reduce(c1, c2, c3)
+        return a, b, c, d * (1.0 + 1e-11)
+
+    monkeypatch.setattr(census, "reduce_to_cubic", off)
+    assert not check_census_factored_cubic(n=50).ok
+
+
+def test_time_reversal_check_sees_a_step_even_in_dt(monkeypatch):
+    step = euler._Kernel.step
+
+    def biased(self, c, dt):
+        step(self, c, dt)
+        c[0, 1] += dt * dt  # the same for dt and -dt, so not reversible
+
+    monkeypatch.setattr(euler._Kernel, "step", biased)
+    assert not check_time_reversal(n_steps=3).ok
