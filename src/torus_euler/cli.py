@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -20,7 +19,6 @@ from .euler import run, stability_experiment
 from .io import parse_coeffs, write_torf
 from .lattice import LatticeBasis, classify_eigenspace, dual_basis, preset_basis, shortest_vectors
 from .manifest import ExperimentManifest, ManifestError
-from .verify import run_battery
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,6 +177,8 @@ def cmd_stability(args) -> int:
         for eps, seed in jobs:
             written.append(_stability_job(man_text, eps, seed, str(outdir)))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_stability_job, man_text, eps, seed, str(outdir))
                        for eps, seed in jobs]
@@ -186,6 +186,13 @@ def cmd_stability(args) -> int:
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
+
+
+def run_battery(full: bool) -> bool:
+    """The verification battery; its module is imported only by `verify`."""
+    from .verify import run_battery as battery
+
+    return battery(full=full)
 
 
 def cmd_verify(args) -> int:

@@ -187,105 +187,111 @@ def gram_dual(basis: LatticeBasis) -> np.ndarray:
     return db @ db.T
 
 
-def _lagrange_gauss(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a 2D basis (rows of b) so |b0| <= |b1| and |b0.b1| <= |b0|^2/2.
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1]
 
-    Returns the reduced rows and the unimodular integer transform U with
-    reduced = U @ b.  Terminates because each shear strictly shrinks b1.
+
+def _lagrange_gauss(b0, b1):
+    """Reduce a 2D basis (b0, b1) so |b0| <= |b1| and |b0.b1| <= |b0|^2/2.
+
+    Returns the reduced pair and the unimodular integer rows (u0, u1) with
+    reduced = (u0 . (b0, b1), u1 . (b0, b1)).  Terminates because each
+    shear strictly shrinks b1.
     """
-    b = b.astype(float).copy()
-    u = np.eye(2, dtype=np.int64)
+    u0, u1 = (1, 0), (0, 1)
     for _ in range(256):
-        if b[0] @ b[0] > b[1] @ b[1]:
-            b = b[::-1].copy()
-            u = u[::-1].copy()
-        mu = round((b[0] @ b[1]) / (b[0] @ b[0]))
+        if _dot(b0, b0) > _dot(b1, b1):
+            b0, b1, u0, u1 = b1, b0, u1, u0
+        mu = round(_dot(b0, b1) / _dot(b0, b0))
         if mu == 0:
-            return b, u
-        new = b[1] - mu * b[0]
-        if new @ new >= b[1] @ b[1]:
+            return (b0, b1), (u0, u1)
+        new = (b1[0] - mu * b0[0], b1[1] - mu * b0[1])
+        if _dot(new, new) >= _dot(b1, b1):
             # rounding tie (e.g. an exactly hexagonal dual); basis is already
             # reduced up to ulps, which the enumeration window absorbs
-            return b, u
-        b[1] = new
-        u[1] -= mu * u[0]
+            return (b0, b1), (u0, u1)
+        b1 = new
+        u1 = (u1[0] - mu * u0[0], u1[1] - mu * u0[1])
     raise InternalInvariant("lattice reduction did not terminate")
 
 
-def shortest_vectors(basis: LatticeBasis) -> ShortestVectorSet:
-    """All dual vectors of minimal nonzero length, with integer coordinates.
+# The nonzero coefficient pairs in [-2, 2]^2.
+_WINDOW = tuple((m, n) for m in range(-2, 3) for n in range(-2, 3) if m or n)
+
+
+def _shell(db: DualBasis):
+    """rho and the shortest dual vectors as (coords, vector) pairs sorted by
+    integer coordinates in the (xi*, eta*) basis, plus the canonically signed
+    representatives, one per antipodal pair, in the same order.
 
     The dual basis is Lagrange-Gauss reduced first, after which every
     shortest vector has coefficients in [-2, 2]^2 with respect to the
-    reduced rows; enumerating that window is exact regardless of how
+    reduced pair; enumerating that window is exact regardless of how
     skewed the user-supplied basis is.
     """
-    reduced, u = _lagrange_gauss(dual_basis(basis).matrix)
-    span = np.arange(-2, 3)
-    mm, nn = np.meshgrid(span, span, indexing="ij")
-    coeffs = np.column_stack([mm.ravel(), nn.ravel()])
-    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
-    vecs = coeffs @ reduced
-    norms = np.hypot(vecs[:, 0], vecs[:, 1])
-    rho = float(norms.min())
-    keep = norms <= rho * (1.0 + SHELL_TIE_RTOL)
-    vecs = vecs[keep]
-    coords = (coeffs[keep] @ u).astype(np.int64)
-
-    order = np.lexsort((coords[:, 1], coords[:, 0]))
-    vecs, coords = vecs[order], coords[order]
-    if vecs.shape[0] not in (2, 4, 6):
-        raise InternalInvariant(
-            f"shortest shell has size {vecs.shape[0]}, expected 2, 4 or 6"
-        )
+    (r0, r1), (u0, u1) = _lagrange_gauss(db.xi_star, db.eta_star)
+    window = []
+    for m, n in _WINDOW:
+        v = (m * r0[0] + n * r1[0], m * r0[1] + n * r1[1])
+        window.append((math.hypot(*v), (m * u0[0] + n * u1[0], m * u0[1] + n * u1[1]), v))
+    rho = min(w[0] for w in window)
+    cut = rho * (1.0 + SHELL_TIE_RTOL)
+    shell = sorted((c, v) for h, c, v in window if h <= cut)
+    if len(shell) not in (2, 4, 6):
+        raise InternalInvariant(f"shortest shell has size {len(shell)}, expected 2, 4 or 6")
 
     sign_tol = 1e-12 * rho
-    rep_mask = (vecs[:, 0] > sign_tol) | (
-        (np.abs(vecs[:, 0]) <= sign_tol) & (vecs[:, 1] > 0)
-    )
-    reps, rep_coords = vecs[rep_mask], coords[rep_mask]
-    if reps.shape[0] != vecs.shape[0] // 2:
+    reps = [(c, v) for c, v in shell
+            if v[0] > sign_tol or (abs(v[0]) <= sign_tol and v[1] > 0)]
+    if len(reps) != len(shell) // 2:
         raise InternalInvariant("shortest shell is not closed under negation")
-    order = np.lexsort((rep_coords[:, 1], rep_coords[:, 0]))
+    return rho, shell, reps
+
+
+def shortest_vectors(basis: LatticeBasis) -> ShortestVectorSet:
+    """All dual vectors of minimal nonzero length, with integer coordinates."""
+    rho, shell, reps = _shell(dual_basis(basis))
     return ShortestVectorSet(
         rho=rho,
-        vectors=vecs,
-        coords=coords,
-        representatives=reps[order],
-        rep_coords=rep_coords[order],
+        vectors=np.array([v for _, v in shell], dtype=float),
+        coords=np.array([c for c, _ in shell], dtype=np.int64),
+        representatives=np.array([v for _, v in reps], dtype=float),
+        rep_coords=np.array([c for c, _ in reps], dtype=np.int64),
     )
 
 
-def classify_eigenspace(basis: LatticeBasis) -> EigenspaceInfo:
-    """First eigenvalue 4 pi^2 rho^2 and an ordered mode basis for its eigenspace."""
-    sv = shortest_vectors(basis)
-    lam1 = 4.0 * math.pi**2 * sv.rho**2
-    if sv.size < 6:
-        k = tuple(tuple(v) for v in sv.representatives)
-        kc = tuple((int(c[0]), int(c[1])) for c in sv.rep_coords)
-        return EigenspaceInfo(basis, lam1, sv.size, k, kc)
+def _hexagonal_order(shell, reps):
+    """Signed representatives (k1, k2, k3) with k3 = k1 + k2 in coordinates.
 
-    # Six shortest vectors form a regular hexagon, so among signed pairs of
-    # representatives there is always one whose sum is again in the shell.
-    full = {tuple(int(x) for x in c) for c in sv.coords}
-    reps = [tuple(int(x) for x in c) for c in sv.rep_coords]
+    Six shortest vectors form a regular hexagon, so among signed pairs of
+    representatives there is always one whose sum is again in the shell.
+    """
+    full = {c for c, _ in shell}
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
             for si in (1, -1):
                 for sj in (1, -1):
-                    k1 = (si * reps[i][0], si * reps[i][1])
-                    k2 = (sj * reps[j][0], sj * reps[j][1])
+                    k1 = (si * reps[i][0][0], si * reps[i][0][1])
+                    k2 = (sj * reps[j][0][0], sj * reps[j][0][1])
                     k3 = (k1[0] + k2[0], k1[1] + k2[1])
                     if k3 in full:
-                        db = dual_basis(basis).matrix
-                        kvecs = tuple(
-                            tuple(np.array(c, dtype=float) @ db)
-                            for c in (k1, k2, k3)
-                        )
-                        return EigenspaceInfo(basis, lam1, 6, kvecs, (k1, k2, k3))
+                        return k1, k2, k3
     raise InternalInvariant("no ordering of the hexagonal shell satisfies k3 = k1 + k2")
+
+
+def classify_eigenspace(basis: LatticeBasis) -> EigenspaceInfo:
+    """First eigenvalue 4 pi^2 rho^2 and an ordered mode basis for its eigenspace.
+
+    Each wavevector is its integer coordinates times the dual basis.
+    """
+    db = dual_basis(basis)
+    rho, shell, reps = _shell(db)
+    kc = _hexagonal_order(shell, reps) if len(shell) == 6 else tuple(c for c, _ in reps)
+    (x0, x1), (e0, e1) = db.xi_star, db.eta_star
+    k = tuple((m * x0 + n * e0, m * x1 + n * e1) for m, n in kc)
+    return EigenspaceInfo(basis, 4.0 * math.pi**2 * rho**2, len(shell), k, kc)
 
 
 PRESET_NAMES = ("square", "hexagonal", "rectangular:<h>")

@@ -59,6 +59,31 @@ def _random_dim_basis(rng: np.random.Generator, dim: int) -> lat.LatticeBasis:
     return lat.LatticeBasis(turned((1.0, 0.0)), turned((math.cos(phi), math.sin(phi))))
 
 
+def _unimodular(rng: np.random.Generator):
+    """Random integer rows with entries in [-6, 6] and determinant +-1."""
+    while True:
+        a, b, c, d = rng.integers(-6, 7, 4).tolist()
+        if abs(a * d - b * c) == 1:
+            return (a, b), (c, d)
+
+
+def _transformed(rng: np.random.Generator, basis: lat.LatticeBasis):
+    """The torus of ``basis`` with its generators changed by a random unimodular
+    matrix, rotated, and scaled by s = 2**x, x uniform in [-500, 500].
+
+    Returns the new basis and s; its first eigenvalue is basis's over s^2.
+    """
+    s = 2.0 ** rng.uniform(-500.0, 500.0)
+    rot = rng.uniform(0.0, 2.0 * math.pi)
+    cr, sr = math.cos(rot), math.sin(rot)
+    rows = []
+    for p, q in _unimodular(rng):
+        x = p * basis.xi[0] + q * basis.eta[0]
+        y = p * basis.xi[1] + q * basis.eta[1]
+        rows.append((s * (cr * x - sr * y), s * (sr * x + cr * y)))
+    return lat.LatticeBasis(*rows), s
+
+
 def _random_state(rng: np.random.Generator, info, zero_frac: float = 0.25,
                   tie_frac: float = 0.0) -> eig.EigenstateCoeffs:
     amps = rng.uniform(0.2, 2.0, info.npairs)
@@ -149,6 +174,27 @@ def check_shortest_vector_geometry(n: int = 300, seed: int = 102) -> CheckResult
             problems.append(f"case {i}: double dual gram mismatch")
     return CheckResult("shortest-vector-geometry", not problems,
                        problems[0] if problems else f"{n} bases clean")
+
+
+def check_lattice_invariance(n: int = 200, seed: int = 114) -> CheckResult:
+    """The classification depends on the torus, not on its generators: each
+    preset under a unimodular change of basis (entries up to 6), a rotation
+    and a scale s keeps its dimension, with lambda1 = preset lambda1 / s^2
+    to 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    presets = [lat.preset_basis(name) for name in ("rectangular:4.0", "square", "hexagonal")]
+    infos = [lat.classify_eigenspace(b) for b in presets]
+    worst = 0.0
+    for i in range(n):
+        want = infos[i % 3]
+        basis, s = _transformed(rng, presets[i % 3])
+        info = lat.classify_eigenspace(basis)
+        if info.dim != want.dim:
+            return CheckResult("lattice-invariance", False,
+                               f"case {i}: dim {info.dim}, wanted {want.dim}")
+        worst = max(worst, abs(info.lambda1 * s * s / want.lambda1 - 1.0))
+    return CheckResult("lattice-invariance", worst <= 1e-12,
+                       f"{n} lattices, worst lambda1 error {worst:.2e}")
 
 
 def check_spectral_transforms(seed: int = 103) -> CheckResult:
@@ -554,6 +600,7 @@ FAST_CHECKS: list[Callable[[], CheckResult]] = [
     check_golden_lattice_presets,
     check_dual_basis_identities,
     check_shortest_vector_geometry,
+    check_lattice_invariance,
     check_spectral_transforms,
     check_energy_enstrophy_gap,
     check_poincare,

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import torus_euler
 from torus_euler.cli import main
 from torus_euler.manifest import ExperimentManifest, ManifestError
 
@@ -216,3 +222,16 @@ def test_verify_wiring(capsys, monkeypatch):
     assert main(["verify"]) == 4
     _ = CheckResult  # imported to assert the public surface exists
     capsys.readouterr()
+
+
+def test_cli_import_leaves_verify_and_the_pool_unloaded():
+    """The verification battery and the process pool (with the multiprocessing
+    and logging modules it pulls in) load only on the paths that use them."""
+    lazy = ("torus_euler.verify", "concurrent.futures.process", "multiprocessing", "logging")
+    src = str(Path(torus_euler.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = f"import sys, torus_euler.cli; print(sorted(set({lazy!r}) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -16,7 +16,14 @@ from torus_euler import (
     preset_basis,
     shortest_vectors,
 )
-from torus_euler.lattice import unit_scaled
+from torus_euler.errors import InternalInvariant
+from torus_euler.lattice import (
+    SHELL_TIE_RTOL,
+    EigenspaceInfo,
+    ShortestVectorSet,
+    unit_scaled,
+)
+from torus_euler.verify import _transformed
 
 TAU = 2.0 * math.pi
 
@@ -193,3 +200,142 @@ def test_preset_errors():
         preset_basis("rectangular:abc")
     with pytest.raises(ValueError):
         preset_basis("triangular")
+
+
+# ---------------------------------------------------------------------------
+# numpy oracle: the array implementation that the scalar classification
+# replaced, kept to pin it
+
+
+def _np_lagrange_gauss(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    b = b.astype(float).copy()
+    u = np.eye(2, dtype=np.int64)
+    for _ in range(256):
+        if b[0] @ b[0] > b[1] @ b[1]:
+            b = b[::-1].copy()
+            u = u[::-1].copy()
+        mu = round((b[0] @ b[1]) / (b[0] @ b[0]))
+        if mu == 0:
+            return b, u
+        new = b[1] - mu * b[0]
+        if new @ new >= b[1] @ b[1]:
+            return b, u
+        b[1] = new
+        u[1] -= mu * u[0]
+    raise InternalInvariant("lattice reduction did not terminate")
+
+
+def _np_shortest_vectors(basis: LatticeBasis) -> ShortestVectorSet:
+    reduced, u = _np_lagrange_gauss(dual_basis(basis).matrix)
+    span = np.arange(-2, 3)
+    mm, nn = np.meshgrid(span, span, indexing="ij")
+    coeffs = np.column_stack([mm.ravel(), nn.ravel()])
+    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
+    vecs = coeffs @ reduced
+    norms = np.hypot(vecs[:, 0], vecs[:, 1])
+    rho = float(norms.min())
+    keep = norms <= rho * (1.0 + SHELL_TIE_RTOL)
+    vecs = vecs[keep]
+    coords = (coeffs[keep] @ u).astype(np.int64)
+    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    vecs, coords = vecs[order], coords[order]
+    assert vecs.shape[0] in (2, 4, 6)
+    sign_tol = 1e-12 * rho
+    rep_mask = (vecs[:, 0] > sign_tol) | (
+        (np.abs(vecs[:, 0]) <= sign_tol) & (vecs[:, 1] > 0)
+    )
+    reps, rep_coords = vecs[rep_mask], coords[rep_mask]
+    assert reps.shape[0] == vecs.shape[0] // 2
+    order = np.lexsort((rep_coords[:, 1], rep_coords[:, 0]))
+    return ShortestVectorSet(rho, vecs, coords, reps[order], rep_coords[order])
+
+
+def _np_classify_eigenspace(basis: LatticeBasis) -> EigenspaceInfo:
+    sv = _np_shortest_vectors(basis)
+    lam1 = 4.0 * math.pi**2 * sv.rho**2
+    if sv.size < 6:
+        k = tuple(tuple(v) for v in sv.representatives)
+        kc = tuple((int(c[0]), int(c[1])) for c in sv.rep_coords)
+        return EigenspaceInfo(basis, lam1, sv.size, k, kc)
+    full = {tuple(int(x) for x in c) for c in sv.coords}
+    reps = [tuple(int(x) for x in c) for c in sv.rep_coords]
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            for si in (1, -1):
+                for sj in (1, -1):
+                    k1 = (si * reps[i][0], si * reps[i][1])
+                    k2 = (sj * reps[j][0], sj * reps[j][1])
+                    k3 = (k1[0] + k2[0], k1[1] + k2[1])
+                    if k3 in full:
+                        db = dual_basis(basis).matrix
+                        kvecs = tuple(tuple(np.array(c, dtype=float) @ db)
+                                      for c in (k1, k2, k3))
+                        return EigenspaceInfo(basis, lam1, 6, kvecs, (k1, k2, k3))
+    raise InternalInvariant("no ordering of the hexagonal shell satisfies k3 = k1 + k2")
+
+
+def _bits(x) -> list[str]:
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+@pytest.mark.parametrize("name", [
+    "square", "hexagonal", "rectangular:1.0", "rectangular:3.0", "rectangular:6.2",
+    "rectangular:3.141592653589793",
+])
+def test_classification_matches_numpy_oracle_bitwise_on_presets(name):
+    b = preset_basis(name)
+    got, want = classify_eigenspace(b), _np_classify_eigenspace(b)
+    assert (got.dim, got.k_coords) == (want.dim, want.k_coords)
+    assert _bits(got.lambda1) + _bits(got.k) == _bits(want.lambda1) + _bits(want.k)
+    sv, ref = shortest_vectors(b), _np_shortest_vectors(b)
+    assert _bits(sv.rho) == _bits(ref.rho)
+    for field in ("vectors", "coords", "representatives", "rep_coords"):
+        a, r = getattr(sv, field), getattr(ref, field)
+        assert a.dtype == r.dtype and a.shape == r.shape
+        assert _bits(a) == _bits(r), field
+
+
+def _near_tie(rng, name: str) -> LatticeBasis:
+    """The preset with its second generator stretched by 1 + t, t within a
+    factor 2 of the shell tie tolerance on either side of it: a shell on the
+    edge of splitting for the square and the hexagon."""
+    b = preset_basis(name)
+    t = SHELL_TIE_RTOL * rng.choice([rng.uniform(0.5, 0.9), rng.uniform(1.1, 2.0)])
+    return LatticeBasis(b.xi, (b.eta[0] * (1.0 + t), b.eta[1] * (1.0 + t)))
+
+
+@pytest.mark.parametrize("name,dim", [("rectangular:4.0", 2), ("square", 4), ("hexagonal", 6)])
+def test_classification_matches_numpy_oracle(name, dim):
+    """2000 transformed presets (unimodular entries up to 6, rotation, scale
+    2**[-500, 500]) and 500 transformed near-ties per preset.
+
+    A wavevector k = m xi* + n eta* is a sum whose terms can be much longer
+    than k on a skewed basis, and the oracle's differs from it by rounding
+    in those terms, so k is held to 4e-15 of |m| |xi*| + |n| |eta*| (which
+    is 1 or 2 rho on the presets themselves).
+    """
+    rng = np.random.default_rng(2024 + dim)
+    bases = [_transformed(rng, preset_basis(name))[0] for _ in range(2000)]
+    bases += [_transformed(rng, _near_tie(rng, name))[0] for _ in range(500)]
+    worst = 0.0
+    dims = set()
+    for b in bases:
+        sv, ref = shortest_vectors(b), _np_shortest_vectors(b)
+        got, want = classify_eigenspace(b), _np_classify_eigenspace(b)
+        assert np.array_equal(sv.coords, ref.coords)
+        assert np.array_equal(sv.rep_coords, ref.rep_coords)
+        assert (got.dim, got.k_coords) == (want.dim, want.k_coords)
+        dims.add(got.dim)
+        db = dual_basis(b)
+        lx, le = math.hypot(*db.xi_star), math.hypot(*db.eta_star)
+        worst = max(
+            worst,
+            abs(sv.rho - ref.rho) / ref.rho,
+            abs(got.lambda1 - want.lambda1) / want.lambda1,
+            *(max(abs(p - q) for p, q in zip(kg, kw)) / (abs(m) * lx + abs(n) * le)
+              for (m, n), kg, kw in zip(got.k_coords, got.k, want.k)),
+        )
+    assert dim in dims
+    assert worst <= 4e-15

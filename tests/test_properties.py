@@ -2,9 +2,10 @@
 
 import pytest
 
-from torus_euler import census, euler
+from torus_euler import census, euler, lattice
 from torus_euler.verify import (
     check_census_factored_cubic,
+    check_lattice_invariance,
     check_orbit_distance,
     check_poincare,
     check_shortest_vector_geometry,
@@ -15,6 +16,7 @@ from torus_euler.verify import (
 
 @pytest.mark.parametrize("check", [
     check_shortest_vector_geometry,
+    check_lattice_invariance,
     check_spectral_transforms,
     check_poincare,
     check_orbit_distance,
@@ -46,3 +48,10 @@ def test_time_reversal_check_sees_a_step_even_in_dt(monkeypatch):
 
     monkeypatch.setattr(euler._Kernel, "step", biased)
     assert not check_time_reversal(n_steps=3).ok
+
+
+def test_lattice_invariance_check_sees_a_skipped_reduction(monkeypatch):
+    # the [-2, 2]^2 window searched on the raw dual basis misses shortest
+    # vectors of skewed generators
+    monkeypatch.setattr(lattice, "_lagrange_gauss", lambda b0, b1: ((b0, b1), ((1, 0), (0, 1))))
+    assert not check_lattice_invariance().ok
