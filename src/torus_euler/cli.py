@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -149,12 +150,10 @@ def cmd_stability(args) -> int:
     else:
         if not args.coeffs:
             raise ManifestError("--coeffs is required without a manifest")
-        if not args.preset and (args.xi is None or args.eta is None):
-            raise ManifestError("a lattice is required: --preset or both --xi and --eta")
         man = ExperimentManifest(
             preset=args.preset,
-            xi=None if args.preset else tuple(args.xi),
-            eta=None if args.preset else tuple(args.eta),
+            xi=args.xi and tuple(args.xi),
+            eta=args.eta and tuple(args.eta),
             n1=args.resolution, n2=args.resolution,
             dt=args.dt, t_end=args.t_end,
             reference=tuple(float(v) for v in args.coeffs.split()),
@@ -162,14 +161,14 @@ def cmd_stability(args) -> int:
             output_dir=args.output or "out",
         )
         man.reference_coeffs()  # validate against the lattice now
-    epsilons = tuple(args.eps) if args.eps else man.epsilons
-    seeds = tuple(args.seed) if args.seed else man.seeds
-    if not epsilons or not seeds:
+    man = dataclasses.replace(man, epsilons=tuple(args.eps or man.epsilons),
+                              seeds=tuple(args.seed or man.seeds))
+    if not man.epsilons or not man.seeds:
         raise ManifestError("need at least one epsilon and one seed")
     man.solver_config()  # a t_end or snapshot times the run cannot honour fail here
     outdir = Path(args.output or man.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = [(eps, seed) for eps in epsilons for seed in seeds]
+    jobs = [(eps, seed) for eps in man.epsilons for seed in man.seeds]
     man_text = man.to_text()
     written = []
     workers = _worker_cap(len(jobs))

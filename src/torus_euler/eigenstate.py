@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BadExponent, GridTooCoarse, MixedEigenspace, NonZeroMean
+from .errors import BadExponent, GridTooCoarse, MixedEigenspace
 from .lattice import EigenspaceInfo, classify_eigenspace
 from .spectral import (
     Grid,
@@ -24,6 +24,7 @@ from .spectral import (
     SpectralField,
     _as_real,
     _as_spectral,
+    _require_mean_zero,
     int_power,
     synthesize,
 )
@@ -542,9 +543,7 @@ def project_to_e1(f: RealField | SpectralField) -> tuple[EigenstateCoeffs, float
     info = _eigenspace(f.grid)
     idx = _mode_indices(info, f.grid)
     F = _as_spectral(f)
-    peak = float(np.max(np.abs(F.coeffs)))
-    if abs(F.coeffs[0, 0]) > 1e-12 * max(1.0, peak):
-        raise NonZeroMean(f"zero mode is {F.coeffs[0, 0]:.3e}")
+    _require_mean_zero(F)
     raw = [F.coeffs[i1, i2] for i1, i2 in idx]
     amps = [2.0 * abs(z) for z in raw]
     floor = 1e-12 * max(amps, default=0.0)

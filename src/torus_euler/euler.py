@@ -11,8 +11,8 @@ over axis 1 then ``fft`` over axis 0.  The axis-0 transforms skip the
 half-spectrum columns that the two-thirds rule keeps at zero.  The public
 ``rhs`` and ``step`` take and return full-layout SpectralFields.
 Diagnostics track the conserved quantities (energy, enstrophy, higher
-Casimirs, mean velocity) and, when a target eigenstate is given, the
-distance to its translation orbit.
+Casimirs) and, when a target eigenstate is given, the distance to its
+translation orbit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonZeroMean, NumericalBlowup
+from .errors import NumericalBlowup
 from .eigenstate import (
     EigenstateCoeffs,
     _theta,
@@ -36,6 +36,7 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
+    _require_mean_zero,
     analyze,
     casimir,
     energy,
@@ -51,6 +52,7 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "Diagnostics",
+    "COLUMNS",
     "AdmissibilityReport",
     "DEFAULT_DRIFT_THRESHOLDS",
     "rhs",
@@ -77,6 +79,8 @@ DEFAULT_DRIFT_THRESHOLDS = {
 
 CSV_HEADER = ("t,energy,enstrophy,casimir3,casimir4,casimir5,casimir6,"
               "meanv1,meanv2,orbit_dist,pstar1,pstar2,theta")
+# the CSV's columns, then those kept in memory only
+COLUMNS = CSV_HEADER.split(",") + ["e1_residual"]
 
 
 @dataclass(frozen=True)
@@ -126,34 +130,32 @@ class SolverState:
 
 @dataclass
 class Diagnostics:
-    """Aligned time series sampled every diag_stride steps."""
+    """Time series sampled every diag_stride steps: one float array per name
+    in ``COLUMNS``, all of one length; ``diag["theta"]`` reads a column."""
 
-    t: np.ndarray
-    energy: np.ndarray
-    enstrophy: np.ndarray
-    casimirs: np.ndarray       # (n, 4) for orders 3..6
-    mean_velocity: np.ndarray  # (n, 2)
-    orbit_dist: np.ndarray
-    pstar: np.ndarray          # (n, 2)
-    theta: np.ndarray
-    e1_residual: np.ndarray
+    columns: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_rows(cls, rows, meta) -> "Diagnostics":
+        """The table of ``rows``, each a tuple of floats in ``COLUMNS`` order."""
+        table = np.array(rows, dtype=float).reshape(len(rows), len(COLUMNS))
+        return cls(dict(zip(COLUMNS, table.T)), dict(meta))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.columns["t"])
 
     def to_csv(self, fh):
         """Write the diagnostics table; floats use shortest round-trip form."""
         for key, val in sorted(self.meta.items()):
             fh.write(f"# {key} = {val}\n")
         fh.write(CSV_HEADER + "\n")
-        for i in range(len(self.t)):
-            row = [
-                self.t[i], self.energy[i], self.enstrophy[i],
-                *self.casimirs[i], *self.mean_velocity[i],
-                self.orbit_dist[i], *self.pstar[i], self.theta[i],
-            ]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        table = np.array([self.columns[name] for name in CSV_HEADER.split(",")], dtype=float)
+        for row in table.T.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 @dataclass
@@ -282,8 +284,7 @@ def _public_kernel(grid: Grid, dealias: str) -> _Kernel:
 
 def rhs(omega: SpectralField, dealias: str = "two_thirds") -> SpectralField:
     """Instantaneous vorticity tendency of the Euler flow."""
-    if abs(omega.coeffs[0, 0]) > 1e-12:
-        raise NonZeroMean(f"zero mode is {omega.coeffs[0, 0]:.3e}")
+    _require_mean_zero(omega)
     c = half_spectrum(omega)
     out = _public_kernel(omega.grid, dealias).rhs(c, np.zeros_like(c))
     return full_spectrum(omega.grid, out)
@@ -302,17 +303,12 @@ def _min_cell_size(grid: Grid) -> float:
     return grid.cell / max(e1, e2)
 
 
-def _diag_row(t, c, w, grid, table, target, p_norm):
-    """One diagnostics row from the half spectrum ``c`` and its samples ``w``."""
+def _diag_row(t, c, w, grid, target, p_norm):
+    """One diagnostics row, in ``COLUMNS`` order, from the half spectrum ``c``
+    and its samples ``w``.  The mean velocity is 0.0: the velocity is a
+    derivative of the periodic stream function."""
     F = full_spectrum(grid, c)
     f = RealField(grid, w)
-    cas = [casimir(f, m) for m in (3, 4, 5, 6)]
-    # The velocity multipliers vanish at k = 0, so the mean velocity, the
-    # velocity's zero mode, is zero by construction and read off in O(1);
-    # adding 0.0 writes a signed zero as 0.0.
-    psi0 = c[0, 0] * table.inv_lap[0, 0]
-    mv = (float((psi0 * table.dy[0, 0]).real) + 0.0,
-          float((-psi0 * table.dx[0, 0]).real) + 0.0)
     if target is not None:
         # the L2 distance works on coefficients, the Lp scan on samples
         dist, pstar = orbit_distance(F if p_norm == 2 else f, target, p_norm)
@@ -320,23 +316,8 @@ def _diag_row(t, c, w, grid, table, target, p_norm):
         dist, pstar = math.nan, (math.nan, math.nan)
     proj, resid = project_to_e1(F)
     theta = _theta(proj) if proj.info.dim == 6 and min(proj.amps) > 0 else math.nan
-    return (t, energy(F), enstrophy(F), cas, mv, dist, tuple(pstar), theta, resid)
-
-
-def _pack(rows, meta) -> Diagnostics:
-    cols = list(zip(*rows)) if rows else [[]] * 9
-    return Diagnostics(
-        t=np.array(cols[0], dtype=float),
-        energy=np.array(cols[1], dtype=float),
-        enstrophy=np.array(cols[2], dtype=float),
-        casimirs=np.array(cols[3], dtype=float).reshape(len(rows), 4),
-        mean_velocity=np.array(cols[4], dtype=float).reshape(len(rows), 2),
-        orbit_dist=np.array(cols[5], dtype=float),
-        pstar=np.array(cols[6], dtype=float).reshape(len(rows), 2),
-        theta=np.array(cols[7], dtype=float),
-        e1_residual=np.array(cols[8], dtype=float),
-        meta=dict(meta),
-    )
+    return (t, energy(F), enstrophy(F), *(casimir(f, m) for m in (3, 4, 5, 6)),
+            0.0, 0.0, dist, *pstar, theta, resid)
 
 
 def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
@@ -349,10 +330,8 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     diagnostics collected so far, if max |omega| grows by 1e6.
     """
     grid = config.grid
-    table = half_modes(grid)
     F0 = analyze(omega0) if isinstance(omega0, RealField) else omega0
-    if abs(F0.coeffs[0, 0]) > 1e-12:
-        raise NonZeroMean("initial vorticity must be mean-zero")
+    _require_mean_zero(F0)
     kernel = _Kernel(grid, config.dealias, masked_state=True)
     c = half_spectrum(F0)
     if kernel.mask is not None:
@@ -373,7 +352,7 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     meta = dict(meta or {})
     meta.setdefault("area", grid.area)
     w0 = kernel.samples(c)
-    rows.append(_diag_row(0.0, c, w0, grid, table, target, p_norm))
+    rows.append(_diag_row(0.0, c, w0, grid, target, p_norm))
     if 0 in snap_steps:
         snapshots.append((0.0, RealField(grid, w0.copy())))
     max0 = max(float(np.max(np.abs(w0))), 1e-300)
@@ -389,10 +368,10 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
             if not math.isfinite(maxw) or maxw > BLOWUP_FACTOR * max0:
                 raise NumericalBlowup(
                     f"max |omega| reached {maxw:.3e} at t = {t:g}",
-                    diagnostics=_pack(rows, meta),
+                    diagnostics=Diagnostics.from_rows(rows, meta),
                 )
-            rows.append(_diag_row(t, c, w, grid, table, target, p_norm))
-    return snapshots, _pack(rows, meta)
+            rows.append(_diag_row(t, c, w, grid, target, p_norm))
+    return snapshots, Diagnostics.from_rows(rows, meta)
 
 
 def admissibility_check(diag: Diagnostics,
@@ -407,19 +386,16 @@ def admissibility_check(diag: Diagnostics,
     thr = dict(DEFAULT_DRIFT_THRESHOLDS)
     if thresholds:
         thr.update(thresholds)
-    area = diag.meta.get("area", None)
+    area = float(diag.meta["area"])
+    z0 = abs(diag["enstrophy"][0])
     drifts = {}
-    e0 = abs(diag.energy[0])
-    drifts["energy"] = float(np.max(np.abs(diag.energy - diag.energy[0]))) / max(e0, 1e-300)
-    z0 = abs(diag.enstrophy[0])
-    drifts["enstrophy"] = float(np.max(np.abs(diag.enstrophy - diag.enstrophy[0]))) / max(z0, 1e-300)
-    for j, m in enumerate((3, 4, 5, 6)):
-        c0 = diag.casimirs[0, j]
-        if area is not None:
-            scale = max(abs(c0), float(area) * (z0 / float(area)) ** (m / 2.0))
-        else:
-            scale = max(abs(c0), z0 ** (m / 2.0))
-        drifts[f"casimir{m}"] = float(np.max(np.abs(diag.casimirs[:, j] - c0))) / max(scale, 1e-300)
+    for name in DEFAULT_DRIFT_THRESHOLDS:
+        series = diag[name]
+        scale = abs(series[0])
+        if name.startswith("casimir"):
+            m = int(name.removeprefix("casimir"))
+            scale = max(scale, area * (z0 / area) ** (m / 2.0))
+        drifts[name] = float(np.max(np.abs(series - series[0]))) / max(scale, 1e-300)
     failed = tuple(k for k, v in drifts.items() if v > thr[k])
     return AdmissibilityReport(drifts, thr, failed)
 
@@ -444,8 +420,8 @@ def stability_experiment(basis, reference: EigenstateCoeffs, epsilon: float,
     The returned diagnostics carry the orbit distance, the recovered
     translation, and the projected phase invariant at every sampled time.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     grid = config.grid
     if grid.basis != basis:
         raise ValueError("config grid lives on a different lattice than `basis`")

@@ -19,13 +19,35 @@ class ManifestError(ValueError):
     """Malformed or inconsistent manifest content."""
 
 
-# every section and key a manifest may hold; anything else is a typo that
-# would otherwise run silently on the defaults
-_KEYS = {
-    "lattice": ("preset", "xi", "eta"),
-    "grid": ("n1", "n2"),
-    "solver": ("dt", "t_end", "dealias", "diag_stride", "snapshot_times"),
-    "experiment": ("reference", "epsilons", "seeds", "p_norm", "output_dir"),
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split())
+
+
+def _pair(text: str) -> tuple[float, float]:
+    vals = _floats(text)
+    if len(vals) != 2:
+        raise ManifestError(f"a lattice generator is two numbers, got {text!r}")
+    return vals
+
+
+def _join(vals) -> str:
+    return " ".join(map(str, vals))
+
+
+# Every section and key a manifest may hold, each with its parser and its
+# writer; anything else is a typo that would otherwise run silently on the
+# defaults, which live in the dataclass alone.
+_SCHEMA = {
+    "lattice": {"preset": (str, str), "xi": (_pair, _join), "eta": (_pair, _join)},
+    "grid": {"n1": (int, str), "n2": (int, str)},
+    "solver": {"dt": (float, str), "t_end": (float, str), "dealias": (str, str),
+               "diag_stride": (int, str), "snapshot_times": (_floats, _join)},
+    "experiment": {"reference": (_floats, _join), "epsilons": (_floats, _join),
+                   "seeds": (_ints, _join), "p_norm": (float, str), "output_dir": (str, str)},
 }
 
 
@@ -33,21 +55,13 @@ def _check_names(cp: configparser.ConfigParser):
     if cp.defaults():
         raise ManifestError(f"unknown section [{cp.default_section}]")
     for name in cp.sections():
-        if name not in _KEYS:
+        if name not in _SCHEMA:
             raise ManifestError(
-                f"unknown section [{name}]; expected {', '.join(f'[{k}]' for k in _KEYS)}")
-        unknown = [key for key in cp[name] if key not in _KEYS[name]]
+                f"unknown section [{name}]; expected {', '.join(f'[{k}]' for k in _SCHEMA)}")
+        unknown = [key for key in cp[name] if key not in _SCHEMA[name]]
         if unknown:
             raise ManifestError(
-                f"unknown key {unknown[0]!r} in [{name}]; expected {', '.join(_KEYS[name])}")
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split())
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split())
+                f"unknown key {unknown[0]!r} in [{name}]; expected {', '.join(_SCHEMA[name])}")
 
 
 @dataclass
@@ -73,10 +87,12 @@ class ExperimentManifest:
     def __post_init__(self):
         if self.preset is None and (self.xi is None or self.eta is None):
             raise ManifestError("manifest needs either a lattice preset or xi and eta")
-        if self.preset is not None and self.xi is not None:
+        if self.preset is not None and (self.xi is not None or self.eta is not None):
             raise ManifestError("give a preset or explicit generators, not both")
         if not 1.0 <= self.p_norm < math.inf:
             raise ManifestError(f"p_norm must be finite and >= 1, got {self.p_norm}")
+        if not all(0.0 <= eps < math.inf for eps in self.epsilons):
+            raise ManifestError(f"epsilons must be finite and >= 0, got {self.epsilons}")
 
     # -- lattice / solver objects -------------------------------------------
 
@@ -111,33 +127,16 @@ class ExperimentManifest:
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = ["[lattice]"]
-        if self.preset is not None:
-            lines.append(f"preset = {self.preset}")
-        else:
-            lines.append(f"xi = {self.xi[0]!r} {self.xi[1]!r}")
-            lines.append(f"eta = {self.eta[0]!r} {self.eta[1]!r}")
-        lines += [
-            "",
-            "[grid]",
-            f"n1 = {self.n1}",
-            f"n2 = {self.n2}",
-            "",
-            "[solver]",
-            f"dt = {self.dt!r}",
-            f"t_end = {self.t_end!r}",
-            f"dealias = {self.dealias}",
-            f"diag_stride = {self.diag_stride}",
-            f"snapshot_times = {' '.join(repr(t) for t in self.snapshot_times)}",
-            "",
-            "[experiment]",
-            f"reference = {' '.join(repr(v) for v in self.reference)}",
-            f"epsilons = {' '.join(repr(v) for v in self.epsilons)}",
-            f"seeds = {' '.join(str(s) for s in self.seeds)}",
-            f"p_norm = {self.p_norm!r}",
-            f"output_dir = {self.output_dir}",
-        ]
-        return "\n".join(lines) + "\n"
+        """Every key in schema order, but for the unset lattice ones."""
+        blocks = []
+        for section, keys in _SCHEMA.items():
+            lines = [f"[{section}]"]
+            for key, (_, write) in keys.items():
+                value = getattr(self, key)
+                if value is not None:
+                    lines.append(f"{key} = {write(value)}")
+            blocks.append("\n".join(lines))
+        return "\n\n".join(blocks) + "\n"
 
     def to_file(self, path) -> None:
         Path(path).write_text(self.to_text())
@@ -152,30 +151,9 @@ class ExperimentManifest:
             raise ManifestError(f"cannot parse manifest: {exc}") from None
         _check_names(cp)
         try:
-            lat = cp["lattice"] if cp.has_section("lattice") else {}
-            grid = cp["grid"] if cp.has_section("grid") else {}
-            solver = cp["solver"] if cp.has_section("solver") else {}
-            exp = cp["experiment"] if cp.has_section("experiment") else {}
-            xi = _floats(lat["xi"]) if "xi" in lat else None
-            eta = _floats(lat["eta"]) if "eta" in lat else None
-            return cls(
-                preset=lat.get("preset"),
-                xi=xi,
-                eta=eta,
-                n1=int(grid.get("n1", 128)),
-                n2=int(grid.get("n2", 128)),
-                dt=float(solver.get("dt", 1e-2)),
-                t_end=float(solver.get("t_end", 10.0)),
-                dealias=solver.get("dealias", "two_thirds"),
-                diag_stride=int(solver.get("diag_stride", 10)),
-                snapshot_times=_floats(solver.get("snapshot_times", "")),
-                reference=_floats(exp.get("reference", "")),
-                epsilons=_floats(exp.get("epsilons", "")),
-                seeds=_ints(exp.get("seeds", "")),
-                p_norm=float(exp.get("p_norm", 2.0)),
-                output_dir=exp.get("output_dir", "out"),
-            )
-        except (KeyError, ValueError) as exc:
+            return cls(**{key: _SCHEMA[section][key][0](raw)
+                          for section in cp.sections() for key, raw in cp[section].items()})
+        except ValueError as exc:
             if isinstance(exc, ManifestError):
                 raise
             raise ManifestError(f"bad manifest value: {exc}") from None

@@ -110,8 +110,7 @@ class SpectralField:
         scale = np.max(np.abs(self.coeffs)) + 1e-300
         if err > hermitian_tol * scale:
             raise ValueError(f"coefficients are not Hermitian (err {err:.2e})")
-        if abs(self.coeffs[0, 0]) > hermitian_tol * scale:
-            raise ValueError(f"zero mode is {self.coeffs[0, 0]:.2e}, field is not mean-zero")
+        _require_mean_zero(self)
 
 
 def _flip_index(n: int) -> np.ndarray:
@@ -244,7 +243,8 @@ def random_mean_zero_field(grid: Grid, rng: np.random.Generator,
 
 
 def _require_mean_zero(F: SpectralField):
-    if abs(F.coeffs[0, 0]) > MEAN_TOL:
+    """The one mean-zero rule: |zero mode| <= MEAN_TOL, which NaN fails."""
+    if not abs(F.coeffs[0, 0]) <= MEAN_TOL:
         raise NonZeroMean(f"zero mode is {F.coeffs[0, 0]:.3e}")
 
 

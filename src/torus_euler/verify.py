@@ -519,7 +519,7 @@ def check_solver_steadiness(n_states: int = 3, resolution: int = 128,
         w0 = eig.synthesize_eigenstate(c, grid)
         scale = sp.lp_norm(w0, 2.0)
         _, diag = euler.run(cfg, w0, target=c)
-        worst = max(worst, float(np.max(diag.orbit_dist)) / scale)
+        worst = max(worst, float(np.max(diag["orbit_dist"])) / scale)
     return CheckResult("solver-steadiness", worst <= 1e-6,
                        f"{len(states)} eigenstates, worst relative drift {worst:.2e}")
 
@@ -537,9 +537,10 @@ def check_conservation(resolution: int = 128) -> CheckResult:
     c0[-1 % resolution, 1] = 0.05
     cfg = euler.SolverConfig(grid, dt=1e-2, t_end=5.0, diag_stride=25)
     _, diag = euler.run(cfg, sp.SpectralField(grid, c0))
-    e_drift = float(np.max(np.abs(diag.energy - diag.energy[0]))) / diag.energy[0]
-    z_drift = float(np.max(np.abs(diag.enstrophy - diag.enstrophy[0]))) / diag.enstrophy[0]
-    v_max = float(np.max(np.abs(diag.mean_velocity)))
+    e, z = diag["energy"], diag["enstrophy"]
+    e_drift = float(np.max(np.abs(e - e[0]))) / e[0]
+    z_drift = float(np.max(np.abs(z - z[0]))) / z[0]
+    v_max = float(np.max(np.abs([diag["meanv1"], diag["meanv2"]])))
     ok = e_drift <= 1e-8 and z_drift <= 1e-8 and v_max <= 1e-12
     return CheckResult("conservation", ok,
                        f"energy {e_drift:.2e}, enstrophy {z_drift:.2e}, mean v {v_max:.2e}")
@@ -586,9 +587,9 @@ def check_stability_witness(epsilons=(1e-3, 1e-2), seeds=(1, 2, 3, 4, 5),
     for eps in epsilons:
         for seed in seeds:
             diag = euler.stability_experiment(basis, ref, eps, seed, 2.0, cfg)
-            d0 = diag.orbit_dist[0]
-            amp = float(np.max(diag.orbit_dist)) / d0
-            dth = np.abs((diag.theta - diag.theta[0] + math.pi) % (2 * math.pi) - math.pi)
+            dist, theta = diag["orbit_dist"], diag["theta"]
+            amp = float(np.max(dist)) / dist[0]
+            dth = np.abs((theta - theta[0] + math.pi) % (2 * math.pi) - math.pi)
             worst_amp = max(worst_amp, amp)
             worst_theta = max(worst_theta, float(np.max(dth)))
     ok = worst_amp <= 10.0 and worst_theta <= 0.1

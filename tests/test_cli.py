@@ -111,6 +111,55 @@ def test_bad_p_norm_exits_2_before_any_job(tmp_path, capsys, p_norm):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_bad_epsilon_exits_2_before_any_job(tmp_path, capsys, eps):
+    outdir = tmp_path / "never"
+    code, _, err = run_cli(
+        capsys, "stability", "--preset", "hexagonal",
+        "--coeffs", "1 0 1 0 1 0", "--eps", eps, "--seed", "7",
+        "--resolution", "32", "--dt", "0.02", "--t-end", "0.1",
+        "--output", str(outdir),
+    )
+    assert code == 2
+    assert "epsilon" in err
+    assert not outdir.exists()
+    text = f"[lattice]\npreset = hexagonal\n\n[experiment]\nepsilons = 0.01 {eps}\n"
+    with pytest.raises(ManifestError, match="epsilon"):
+        ExperimentManifest.from_text(text)
+    bad = tmp_path / "bad_eps.ini"
+    bad.write_text(text)
+    code, _, err = run_cli(capsys, "stability", "--manifest", str(bad),
+                           "--seed", "1", "--output", str(outdir))
+    assert code == 2
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("xi", ["6.283 0 5", "6.283"], ids=["three", "one"])
+def test_generator_needs_two_numbers(tmp_path, capsys, xi):
+    text = f"[lattice]\nxi = {xi}\neta = 0 3\n"
+    with pytest.raises(ManifestError, match="two numbers"):
+        ExperimentManifest.from_text(text)
+    bad = tmp_path / "bad_xi.ini"
+    bad.write_text(text)
+    code, _, err = run_cli(capsys, "simulate", "--manifest", str(bad))
+    assert code == 2
+    assert "two numbers" in err
+
+
+def test_stability_rejects_preset_with_generators(tmp_path, capsys):
+    outdir = tmp_path / "never"
+    code, _, err = run_cli(
+        capsys, "stability", "--preset", "square",
+        "--xi", "6.283185307179586", "0", "--eta", "0", "3.0",
+        "--coeffs", "1 0 1 0", "--eps", "0.01", "--seed", "7",
+        "--resolution", "32", "--dt", "0.02", "--t-end", "0.1",
+        "--output", str(outdir),
+    )
+    assert code == 2
+    assert "not both" in err
+    assert not outdir.exists()
+
+
 def _small_manifest(tmp_path, **overrides):
     kwargs = dict(
         preset="hexagonal", n1=32, n2=32, dt=0.02, t_end=0.2,

@@ -15,7 +15,10 @@ from torus_euler import (
     SpectralField,
     admissibility_check,
     analyze,
+    energy,
     enstrophy,
+    green_apply,
+    project_to_e1,
     rhs,
     run,
     stability_experiment,
@@ -34,6 +37,10 @@ def _two_mode_state(grid, info, a1=0.2, a2=0.1):
     c[1, -1 % grid.n2] = a2 / 2
     c[-1 % grid.n1, 1] = a2 / 2
     return SpectralField(grid, c)
+
+
+def _mean_velocity(diag):
+    return np.stack((diag["meanv1"], diag["meanv2"]), axis=1)
 
 
 def test_rhs_zero_and_mean_guard(hex_grid):
@@ -73,9 +80,10 @@ def test_step_preserves_structure(hex_info, hex_grid):
 def test_short_conservation(hex_info, hex_grid):
     cfg = SolverConfig(hex_grid, dt=1e-2, t_end=1.0, diag_stride=10)
     _, diag = run(cfg, _two_mode_state(hex_grid, hex_info))
-    assert np.max(np.abs(diag.energy - diag.energy[0])) <= 1e-10 * diag.energy[0]
-    assert np.max(np.abs(diag.enstrophy - diag.enstrophy[0])) <= 1e-10 * diag.enstrophy[0]
-    assert np.max(np.abs(diag.mean_velocity)) <= 1e-12
+    assert np.max(np.abs(diag["energy"] - diag["energy"][0])) <= 1e-10 * diag["energy"][0]
+    assert (np.max(np.abs(diag["enstrophy"] - diag["enstrophy"][0]))
+            <= 1e-10 * diag["enstrophy"][0])
+    assert np.max(np.abs(_mean_velocity(diag))) <= 1e-12
     report = admissibility_check(diag)
     assert report.ok
     assert report.drifts["energy"] <= 1e-10
@@ -85,7 +93,7 @@ def test_diag_alignment_and_snapshots(hex_info, hex_grid):
     cfg = SolverConfig(hex_grid, dt=0.05, t_end=0.5, diag_stride=2,
                        snapshot_times=(0.0, 0.25, 0.5))
     snaps, diag = run(cfg, _two_mode_state(hex_grid, hex_info))
-    assert [round(t / 0.05) % 2 for t in diag.t] == [0] * len(diag)
+    assert [round(t / 0.05) % 2 for t in diag["t"]] == [0] * len(diag)
     assert [t for t, _ in snaps] == [0.0, 0.25, 0.5]
     assert snaps[0][1].samples.shape == (hex_grid.n1, hex_grid.n2)
 
@@ -93,8 +101,8 @@ def test_diag_alignment_and_snapshots(hex_info, hex_grid):
 def test_final_row_recorded_off_stride(hex_info, hex_grid):
     cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.07, diag_stride=3)
     _, diag = run(cfg, _two_mode_state(hex_grid, hex_info))
-    assert [round(t / 1e-2) for t in diag.t] == [0, 3, 6, 7]
-    assert diag.t[-1] == 7 * 1e-2
+    assert [round(t / 1e-2) for t in diag["t"]] == [0, 3, 6, 7]
+    assert diag["t"][-1] == 7 * 1e-2
 
 
 def test_mean_velocity_is_exact_zero(hex_info, hex_grid, rng):
@@ -103,20 +111,15 @@ def test_mean_velocity_is_exact_zero(hex_info, hex_grid, rng):
     g = band_limited_perturbation(hex_grid, rng, 3 * hex_info.rho, 2.0)
     omega0 = RealField(hex_grid, base.samples + 0.1 * g.samples)
     _, diag = run(SolverConfig(hex_grid, dt=1e-2, t_end=0.2, diag_stride=5), omega0)
-    assert np.all(diag.mean_velocity == 0.0)
-    assert not np.any(np.signbit(diag.mean_velocity))
+    assert np.all(_mean_velocity(diag) == 0.0)
+    assert not np.any(np.signbit(_mean_velocity(diag)))
 
 
 def test_admissibility_negative_control(hex_info, hex_grid):
     cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.5, diag_stride=10)
     _, diag = run(cfg, _two_mode_state(hex_grid, hex_info))
-    doctored = Diagnostics(
-        t=diag.t, energy=diag.energy.copy(), enstrophy=diag.enstrophy,
-        casimirs=diag.casimirs, mean_velocity=diag.mean_velocity,
-        orbit_dist=diag.orbit_dist, pstar=diag.pstar, theta=diag.theta,
-        e1_residual=diag.e1_residual, meta=diag.meta,
-    )
-    doctored.energy[-1] *= 1.0 + 1e-3
+    doctored = Diagnostics({**diag.columns, "energy": diag["energy"].copy()}, diag.meta)
+    doctored["energy"][-1] *= 1.0 + 1e-3
     report = admissibility_check(doctored)
     assert not report.ok
     assert "energy" in report.failed
@@ -171,7 +174,7 @@ def test_stability_experiment_zero_epsilon(hex_info, hex_basis):
     ref = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, diag_stride=20)
     diag = stability_experiment(hex_basis, ref, 0.0, 1, 2.0, cfg)
-    assert np.max(diag.orbit_dist) <= 1e-6
+    assert np.max(diag["orbit_dist"]) <= 1e-6
     assert diag.meta["seed"] == 1
 
 
@@ -180,10 +183,28 @@ def test_stability_experiment_tracks_theta(hex_info, hex_basis):
     ref = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     cfg = SolverConfig(grid, dt=1e-2, t_end=0.5, diag_stride=10)
     diag = stability_experiment(hex_basis, ref, 1e-2, 3, 2.0, cfg)
-    assert np.all(np.isfinite(diag.theta))
-    drift = np.abs((diag.theta - diag.theta[0] + math.pi) % (2 * math.pi) - math.pi)
+    assert np.all(np.isfinite(diag["theta"]))
+    drift = np.abs((diag["theta"] - diag["theta"][0] + math.pi) % (2 * math.pi) - math.pi)
     assert np.max(drift) < 0.05
-    assert np.max(diag.orbit_dist) < 0.1
+    assert np.max(diag["orbit_dist"]) < 0.1
+
+
+_MEAN_ZERO_ENTRIES = {
+    "rhs": rhs,
+    "run": lambda F: run(SolverConfig(F.grid, dt=1e-2, t_end=0.1), F),
+    "energy": energy,
+    "green_apply": green_apply,
+    "project_to_e1": project_to_e1,
+    "validate": SpectralField.validate,
+}
+
+
+@pytest.mark.parametrize("entry", _MEAN_ZERO_ENTRIES.values(), ids=_MEAN_ZERO_ENTRIES.keys())
+def test_nan_zero_mode_is_not_mean_zero(hex_grid, entry):
+    c = np.zeros((hex_grid.n1, hex_grid.n2), dtype=complex)
+    c[0, 0] = math.nan
+    with pytest.raises(NonZeroMean):
+        entry(SpectralField(hex_grid, c))
 
 
 def test_run_rejects_nonzero_mean(hex_grid):

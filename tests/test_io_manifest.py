@@ -113,6 +113,8 @@ def test_manifest_errors():
     with pytest.raises(ManifestError):
         ExperimentManifest(preset="hexagonal", xi=(1, 0), eta=(0, 1))
     with pytest.raises(ManifestError):
+        ExperimentManifest(preset="hexagonal", eta=(0, 1))  # would be dropped silently
+    with pytest.raises(ManifestError):
         ExperimentManifest.from_text("not a manifest at all\n")
     man = ExperimentManifest(preset="hexagonal", reference=(1.0, 0.0))
     with pytest.raises(ManifestError):
