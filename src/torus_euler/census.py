@@ -31,7 +31,7 @@ from .errors import (
     InternalInvariant,
     UnsupportedMoment,
 )
-from .eigenstate import DEFAULT_ORBIT_TOL, EigenstateCoeffs, circ_dist, same_orbit
+from .eigenstate import DEFAULT_ORBIT_TOL, EigenstateCoeffs, _wrap_phase, circ_dist, same_orbit
 
 __all__ = [
     "MomentData",
@@ -356,8 +356,12 @@ def _amplitude_orderings(amps: tuple[float, ...]) -> list[tuple[float, ...]]:
     DEFAULT_ORBIT_TOL into classes, and an ordering's sequence of class
     labels is its canonical key.  The first ordering of each key is kept, so
     ``amps`` itself stands for its own class, and every kept tuple is an
-    exact rearrangement of ``amps``.
+    exact rearrangement of ``amps``.  Without ties every ordering is its
+    own class.
     """
+    ranked = sorted(amps)
+    if all(b - a > DEFAULT_ORBIT_TOL for a, b in zip(ranked, ranked[1:])):
+        return sorted(itertools.permutations(amps))
     order = sorted(range(len(amps)), key=amps.__getitem__)
     label = [0] * len(amps)
     for prev, i in zip(order, order[1:]):
@@ -384,17 +388,25 @@ def orbit_census(reference: EigenstateCoeffs) -> OrbitCensus:
     reference (moments of the computed orders are necessary conditions),
     bounded by 1, 2, or 12 according to the eigenspace dimension, and is
     checked to contain the reference's own orbit.
+
+    The representatives are built without re-validation from the validated
+    reference: its amplitudes, and branch phases wrapped as the public
+    constructor wraps them, 0.0 wherever the amplitude is 0.
     """
     info = reference.info
     branches = [(0.0,) * info.npairs]
     if info.dim == 6:
         theta = _theta(reference)
         a1, a2, a3 = reference.amps
-        branches = [(0.0, 0.0, -theta)]
+        branches = [(0.0, 0.0, _wrap_phase(-theta))]
         if a1 * a2 * a3 > DEFAULT_ORBIT_TOL and circ_dist(theta, -theta) > DEFAULT_ORBIT_TOL:
-            branches.append((0.0, 0.0, theta))
-    reps = tuple(EigenstateCoeffs(info, amps, phases)
-                 for amps in _amplitude_orderings(reference.amps) for phases in branches)
+            branches.append((0.0, 0.0, _wrap_phase(theta)))
+    zeros = 0.0 in reference.amps
+    reps = tuple(
+        EigenstateCoeffs._trusted(
+            info, amps,
+            tuple(p if a > 0 else 0.0 for a, p in zip(amps, phases)) if zeros else phases)
+        for amps in _amplitude_orderings(reference.amps) for phases in branches)
     if len(reps) > CENSUS_BOUNDS[info.dim]:
         raise InternalInvariant(
             f"census of size {len(reps)} exceeds bound {CENSUS_BOUNDS[info.dim]}"

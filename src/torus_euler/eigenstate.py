@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BadExponent, GridTooCoarse, MixedEigenspace
-from .lattice import EigenspaceInfo, classify_eigenspace
+from .lattice import EigenspaceInfo, classify_eigenspace, dual_basis
 from .spectral import (
     Grid,
     RealField,
@@ -76,6 +76,18 @@ class EigenstateCoeffs:
         phases = tuple(_wrap_phase(p) if a > 0 else 0.0 for a, p in zip(amps, self.phases))
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "phases", phases)
+
+    @classmethod
+    def _trusted(cls, info: EigenspaceInfo, amps: tuple[float, ...],
+                 phases: tuple[float, ...]) -> "EigenstateCoeffs":
+        """A state from values that already meet the constructor's rules:
+        npairs float amplitudes, finite and nonnegative, and phases wrapped
+        into [0, 2 pi), 0.0 wherever the amplitude is 0.  Nothing is checked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "info", info)
+        object.__setattr__(c, "amps", amps)
+        object.__setattr__(c, "phases", phases)
+        return c
 
 
 @dataclass(frozen=True)
@@ -192,8 +204,6 @@ def solve_translation(c: EigenstateCoeffs, other: EigenstateCoeffs,
 
 def _cell_coords(p: np.ndarray, info: EigenspaceInfo) -> tuple[float, float]:
     """Fractional coordinates of p in the fundamental cell."""
-    from .lattice import dual_basis
-
     db = dual_basis(info.basis)
     return (
         float(np.dot(db.xi_star, p)) % 1.0,

@@ -67,16 +67,22 @@ class LatticeBasis:
             raise DegenerateBasis("zero or non-finite generator")
         xs, es, e = unit_scaled(xi, eta)
         unit = math.ldexp(scale, -e)
-        if abs(_det(xs, es)) < 1e-12 * unit * unit:
+        d = _det(xs, es)
+        if abs(d) < 1e-12 * unit * unit:
             raise DegenerateBasis(
                 f"generators are numerically dependent (det={self.det:.3e})"
             )
+        # xi* = (eta2, -eta1)/det, eta* = (-xi2, xi1)/det from the unit-scaled
+        # generators, whose determinant cannot underflow, scaled back by 2**-e.
+        # Kept as a plain attribute, outside eq, hash and repr.
         try:
-            dual_basis(self)
+            dual = DualBasis((math.ldexp(es[1] / d, -e), math.ldexp(-es[0] / d, -e)),
+                             (math.ldexp(-xs[1] / d, -e), math.ldexp(xs[0] / d, -e)))
         except OverflowError:
             raise DegenerateBasis(
                 "generators are so short that the dual lattice exceeds the float range"
             ) from None
+        object.__setattr__(self, "_dual", dual)
 
     @property
     def det(self) -> float:
@@ -171,14 +177,9 @@ class EigenspaceInfo:
 def dual_basis(basis: LatticeBasis) -> DualBasis:
     """Dual generators: xi* = (eta2, -eta1)/det, eta* = (-xi2, xi1)/det.
 
-    Computed from the unit-scaled generators, whose determinant cannot
-    underflow, then scaled back by the power of two.
+    Formed once, when the basis is constructed.
     """
-    xi, eta, e = unit_scaled(basis.xi, basis.eta)
-    d = _det(xi, eta)
-    xi_star = (math.ldexp(eta[1] / d, -e), math.ldexp(-eta[0] / d, -e))
-    eta_star = (math.ldexp(-xi[1] / d, -e), math.ldexp(xi[0] / d, -e))
-    return DualBasis(xi_star, eta_star)
+    return basis._dual
 
 
 def gram_dual(basis: LatticeBasis) -> np.ndarray:
@@ -215,8 +216,8 @@ def _lagrange_gauss(b0, b1):
     raise InternalInvariant("lattice reduction did not terminate")
 
 
-# The nonzero coefficient pairs in [-2, 2]^2.
-_WINDOW = tuple((m, n) for m in range(-2, 3) for n in range(-2, 3) if m or n)
+# One of each antipodal pair of nonzero coefficient pairs in [-2, 2]^2.
+_HALF_WINDOW = tuple((m, n) for m in range(3) for n in range(-2, 3) if m > 0 or n > 0)
 
 
 def _shell(db: DualBasis):
@@ -227,16 +228,21 @@ def _shell(db: DualBasis):
     The dual basis is Lagrange-Gauss reduced first, after which every
     shortest vector has coefficients in [-2, 2]^2 with respect to the
     reduced pair; enumerating that window is exact regardless of how
-    skewed the user-supplied basis is.
+    skewed the user-supplied basis is.  Lengths are taken on one half of
+    the window; each shell member's antipode is recomputed from (-m, -n)
+    rather than negated, so a component that cancels to 0.0 stays 0.0.
     """
     (r0, r1), (u0, u1) = _lagrange_gauss(db.xi_star, db.eta_star)
-    window = []
-    for m, n in _WINDOW:
-        v = (m * r0[0] + n * r1[0], m * r0[1] + n * r1[1])
-        window.append((math.hypot(*v), (m * u0[0] + n * u1[0], m * u0[1] + n * u1[1]), v))
-    rho = min(w[0] for w in window)
+
+    def point(m, n):
+        return ((m * u0[0] + n * u1[0], m * u0[1] + n * u1[1]),
+                (m * r0[0] + n * r1[0], m * r0[1] + n * r1[1]))
+
+    half = [(math.hypot(m * r0[0] + n * r1[0], m * r0[1] + n * r1[1]), m, n)
+            for m, n in _HALF_WINDOW]
+    rho = min(h for h, _, _ in half)
     cut = rho * (1.0 + SHELL_TIE_RTOL)
-    shell = sorted((c, v) for h, c, v in window if h <= cut)
+    shell = sorted(point(s * m, s * n) for h, m, n in half if h <= cut for s in (1, -1))
     if len(shell) not in (2, 4, 6):
         raise InternalInvariant(f"shortest shell has size {len(shell)}, expected 2, 4 or 6")
 

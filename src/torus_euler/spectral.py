@@ -105,12 +105,14 @@ class SpectralField:
             raise ShapeMismatch(
                 f"coeffs {self.coeffs.shape} vs grid ({self.grid.n1}, {self.grid.n2})"
             )
+        _require_mean_zero(self)
+        scale = np.max(np.abs(self.coeffs)) + 1e-300
+        if not math.isfinite(scale):
+            raise ValueError("field contains non-finite coefficients")
         flipped = np.conj(self.coeffs[_flip_index(self.grid.n1)][:, _flip_index(self.grid.n2)])
         err = np.max(np.abs(self.coeffs - flipped))
-        scale = np.max(np.abs(self.coeffs)) + 1e-300
-        if err > hermitian_tol * scale:
+        if not err <= hermitian_tol * scale:
             raise ValueError(f"coefficients are not Hermitian (err {err:.2e})")
-        _require_mean_zero(self)
 
 
 def _flip_index(n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ because they take minutes.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -623,11 +624,15 @@ FULL_CHECKS: list[Callable[[], CheckResult]] = [
 
 
 def run_battery(full: bool = False, report=print) -> bool:
-    """Run the verification checks, print one line per check, return overall pass."""
+    """Run the verification checks, print one line per check with its wall
+    time, return overall pass."""
     checks = FAST_CHECKS + (FULL_CHECKS if full else [])
     all_ok = True
     for fn in checks:
+        start = time.perf_counter()
         result = fn()
+        seconds = time.perf_counter() - start
         all_ok &= result.ok
-        report(f"[{'PASS' if result.ok else 'FAIL'}] {result.name}: {result.detail}")
+        report(f"[{'PASS' if result.ok else 'FAIL'}] {result.name}: {result.detail} "
+               f"({seconds:.2f} s)")
     return all_ok

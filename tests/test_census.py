@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from torus_euler import (
     solve_cubic,
 )
 from torus_euler.census import CENSUS_BOUNDS, MomentData, forward_moments, linf_datum
+from torus_euler.eigenstate import DEFAULT_ORBIT_TOL
 from torus_euler.lattice import LatticeBasis, classify_eigenspace
 
 KAPPA = {2: 0.5, 3: 1.5, 4: 0.375, 6: 5.0 / 16.0}
@@ -372,6 +374,59 @@ def test_census_agrees_with_moment_oracle(dim):
         assert out.count == len(want)
         assert _pair_one_to_one(out.representatives, want)
     assert compared >= 650
+
+
+def _label_orderings(amps):
+    """The orderings as classes of same_orbit-equal amplitudes, labelled after
+    sorting: the census's route for ties, here for every reference."""
+    order = sorted(range(len(amps)), key=amps.__getitem__)
+    label = [0] * len(amps)
+    for prev, i in zip(order, order[1:]):
+        label[i] = label[prev] + (amps[i] - amps[prev] > DEFAULT_ORBIT_TOL)
+    kept = {}
+    for perm in itertools.permutations(range(len(amps))):
+        kept.setdefault(tuple(label[i] for i in perm), tuple(amps[i] for i in perm))
+    return sorted(kept.values())
+
+
+def _hex_bits(c):
+    return [x.hex() for x in c.amps + c.phases]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_census_representatives_are_the_public_constructors(dim):
+    """Bench-style references with zero amplitudes, ties within the orbit
+    tolerance and theta in {0, pi}: every representative is, bit for bit, the
+    public constructor's state from its amplitudes and its branch phases
+    (0, ..., 0, -+theta) unwrapped, and the orderings are the label route's."""
+    import torus_euler.census as cn
+
+    rng = np.random.default_rng(900 + dim)
+    n = dim // 2
+    for i in range(600):
+        if i % 10 == 0:
+            info = classify_eigenspace(_turned_sheared_basis(rng, dim))
+        amps = rng.uniform(0.1, 2.0, n)
+        phases = rng.uniform(0.0, 2.0 * math.pi, n)
+        if n > 1 and rng.uniform() < 0.3:
+            amps[rng.integers(n)] = 0.0
+        if n > 1 and rng.uniform() < 0.4:
+            j, k = rng.choice(n, 2, replace=False)
+            amps[k] = abs(amps[j] + rng.choice([0.0, 3e-9, -7e-9, 0.5 * DEFAULT_ORBIT_TOL]))
+        if dim == 6 and rng.uniform() < 0.5:
+            phases[2] = phases[0] + phases[1] - rng.choice([0.0, math.pi, -math.pi])
+        ref = EigenstateCoeffs(info, tuple(amps), tuple(phases))
+        branches = [(0.0,) * n]
+        if dim == 6:
+            theta = ref.phases[0] + ref.phases[1] - ref.phases[2]
+            branches = [(0.0, 0.0, -theta), (0.0, 0.0, theta)]
+        out = orbit_census(ref)
+        assert cn._amplitude_orderings(ref.amps) == _label_orderings(ref.amps)
+        for r in out.representatives:
+            assert type(r) is EigenstateCoeffs and r.info is info
+            assert _hex_bits(r) == _hex_bits(EigenstateCoeffs(info, r.amps, r.phases))
+            assert _hex_bits(r) in [_hex_bits(EigenstateCoeffs(info, r.amps, b))
+                                    for b in branches]
 
 
 @pytest.mark.parametrize("amps,phases,count", [

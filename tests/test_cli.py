@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,49 @@ def _small_manifest(tmp_path, **overrides):
     return path
 
 
+_PROBLEM_FLAG_VALUES = {
+    "--preset": ["square"], "--xi": ["6.283185307179586", "0"], "--eta": ["0", "3.0"],
+    "--coeffs": ["1 0 1 0"], "--resolution": ["64"], "--dt": ["0.01"],
+    "--t-end": ["0.4"], "--p-norm": ["4"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_PROBLEM_FLAG_VALUES))
+def test_stability_manifest_rejects_problem_flags(tmp_path, capsys, flag):
+    path = _small_manifest(tmp_path)
+    outdir = tmp_path / "never"
+    code, _, err = run_cli(capsys, "stability", "--manifest", str(path),
+                           flag, *_PROBLEM_FLAG_VALUES[flag], "--output", str(outdir))
+    assert code == 2
+    assert flag in err and "--manifest" in err
+    assert not outdir.exists()
+
+
+def test_stability_manifest_takes_eps_seed_and_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TORUS_EULER_THREADS", "1")
+    path = _small_manifest(tmp_path)
+    outdir = tmp_path / "given"
+    code, _, _ = run_cli(capsys, "stability", "--manifest", str(path),
+                         "--eps", "0.02", "--seed", "3", "--output", str(outdir))
+    assert code == 0
+    assert [f.name for f in outdir.iterdir()] == ["stability_eps0.02_seed3.csv"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_stability_run_defaults_without_a_manifest(tmp_path, capsys, monkeypatch):
+    import torus_euler.cli as cli
+
+    monkeypatch.setenv("TORUS_EULER_THREADS", "1")
+    seen = []
+    monkeypatch.setattr(cli, "_stability_job", lambda text, *job: seen.append(text) or "x")
+    code, _, _ = run_cli(capsys, "stability", "--preset", "hexagonal", "--coeffs",
+                         "1 0 1 0 1 0", "--eps", "0.01", "--seed", "7",
+                         "--output", str(tmp_path / "out"))
+    assert code == 0
+    man = ExperimentManifest.from_text(seen[0])
+    assert (man.n1, man.n2, man.dt, man.t_end, man.p_norm) == (128, 128, 1e-2, 20.0, 2.0)
+
+
 def test_simulate_writes_artifacts(tmp_path, capsys):
     path = _small_manifest(tmp_path)
     code, out, _ = run_cli(capsys, "simulate", "--manifest", str(path))
@@ -271,6 +315,19 @@ def test_verify_wiring(capsys, monkeypatch):
     assert main(["verify"]) == 4
     _ = CheckResult  # imported to assert the public surface exists
     capsys.readouterr()
+
+
+def test_verify_lines_carry_wall_time(monkeypatch):
+    import torus_euler.verify as verify
+    from torus_euler.verify import CheckResult
+
+    monkeypatch.setattr(verify, "FAST_CHECKS", [lambda: CheckResult("good", True, "fine"),
+                                                lambda: CheckResult("bad", False, "off")])
+    lines = []
+    assert verify.run_battery(report=lines.append) is False
+    assert len(lines) == 2
+    assert re.fullmatch(r"\[PASS\] good: fine \(\d+\.\d\d s\)", lines[0])
+    assert re.fullmatch(r"\[FAIL\] bad: off \(\d+\.\d\d s\)", lines[1])
 
 
 def test_cli_import_leaves_verify_and_the_pool_unloaded():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -21,6 +23,8 @@ from torus_euler.lattice import (
     SHELL_TIE_RTOL,
     EigenspaceInfo,
     ShortestVectorSet,
+    _lagrange_gauss,
+    _shell,
     unit_scaled,
 )
 from torus_euler.verify import _transformed
@@ -306,19 +310,27 @@ def _near_tie(rng, name: str) -> LatticeBasis:
     return LatticeBasis(b.xi, (b.eta[0] * (1.0 + t), b.eta[1] * (1.0 + t)))
 
 
-@pytest.mark.parametrize("name,dim", [("rectangular:4.0", 2), ("square", 4), ("hexagonal", 6)])
-def test_classification_matches_numpy_oracle(name, dim):
+_SWEEP = [("rectangular:4.0", 2), ("square", 4), ("hexagonal", 6)]
+
+
+def _sweep_bases(name: str, dim: int) -> list[LatticeBasis]:
     """2000 transformed presets (unimodular entries up to 6, rotation, scale
-    2**[-500, 500]) and 500 transformed near-ties per preset.
+    2**[-500, 500]) and 500 transformed near-ties per preset."""
+    rng = np.random.default_rng(2024 + dim)
+    bases = [_transformed(rng, preset_basis(name))[0] for _ in range(2000)]
+    return bases + [_transformed(rng, _near_tie(rng, name))[0] for _ in range(500)]
+
+
+@pytest.mark.parametrize("name,dim", _SWEEP)
+def test_classification_matches_numpy_oracle(name, dim):
+    """The sweep of ``_sweep_bases``.
 
     A wavevector k = m xi* + n eta* is a sum whose terms can be much longer
     than k on a skewed basis, and the oracle's differs from it by rounding
     in those terms, so k is held to 4e-15 of |m| |xi*| + |n| |eta*| (which
     is 1 or 2 rho on the presets themselves).
     """
-    rng = np.random.default_rng(2024 + dim)
-    bases = [_transformed(rng, preset_basis(name))[0] for _ in range(2000)]
-    bases += [_transformed(rng, _near_tie(rng, name))[0] for _ in range(500)]
+    bases = _sweep_bases(name, dim)
     worst = 0.0
     dims = set()
     for b in bases:
@@ -339,3 +351,67 @@ def test_classification_matches_numpy_oracle(name, dim):
         )
     assert dim in dims
     assert worst <= 4e-15
+
+
+# ---------------------------------------------------------------------------
+# oracles for the work done once per basis and the half-window shell
+
+
+def _closed_form_dual(b: LatticeBasis) -> tuple:
+    xi, eta, e = unit_scaled(b.xi, b.eta)
+    d = xi[0] * eta[1] - xi[1] * eta[0]
+    return ((math.ldexp(eta[1] / d, -e), math.ldexp(-eta[0] / d, -e)),
+            (math.ldexp(-xi[1] / d, -e), math.ldexp(xi[0] / d, -e)))
+
+
+def _full_window_shell(db):
+    """``_shell`` on all 24 points of the [-2, 2]^2 window."""
+    (r0, r1), (u0, u1) = _lagrange_gauss(db.xi_star, db.eta_star)
+    window = []
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            if m or n:
+                v = (m * r0[0] + n * r1[0], m * r0[1] + n * r1[1])
+                c = (m * u0[0] + n * u1[0], m * u0[1] + n * u1[1])
+                window.append((math.hypot(*v), c, v))
+    rho = min(w[0] for w in window)
+    shell = sorted((c, v) for h, c, v in window if h <= rho * (1.0 + SHELL_TIE_RTOL))
+    sign_tol = 1e-12 * rho
+    reps = [(c, v) for c, v in shell
+            if v[0] > sign_tol or (abs(v[0]) <= sign_tol and v[1] > 0)]
+    return rho, shell, reps
+
+
+def _tree_bits(x):
+    """Floats as hex, so 0.0 and -0.0 differ; ints and containers as they are."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [_tree_bits(y) for y in x]
+    return x
+
+
+@pytest.mark.parametrize("name,dim", _SWEEP)
+def test_half_window_shell_matches_full_window(name, dim):
+    for b in [preset_basis(name)] + _sweep_bases(name, dim):
+        db = dual_basis(b)
+        assert _tree_bits(_shell(db)) == _tree_bits(_full_window_shell(db))
+
+
+@pytest.mark.parametrize("name,dim", _SWEEP)
+def test_dual_basis_is_the_closed_form_and_survives_copies(name, dim):
+    for b in _sweep_bases(name, dim)[::10] + [preset_basis(name)]:
+        want = _tree_bits(_closed_form_dual(b))
+        db = dual_basis(b)
+        assert _tree_bits((db.xi_star, db.eta_star)) == want
+        back = pickle.loads(pickle.dumps(b))
+        assert back == b and hash(back) == hash(b)
+        assert _tree_bits(dataclasses.astuple(dual_basis(back))) == want
+        moved = dataclasses.replace(b, eta=(b.eta[0] + b.xi[0], b.eta[1] + b.xi[1]))
+        got = dual_basis(moved)
+        assert _tree_bits(dataclasses.astuple(got)) == _tree_bits(_closed_form_dual(moved))
+    # the dual is kept outside the dataclass fields
+    b = preset_basis(name)
+    assert [f.name for f in dataclasses.fields(b)] == ["xi", "eta"]
+    assert repr(b) == f"LatticeBasis(xi={b.xi!r}, eta={b.eta!r})"
+    assert b == LatticeBasis(list(b.xi), list(b.eta))

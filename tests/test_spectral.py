@@ -83,6 +83,19 @@ def test_hermitian_and_mean_invariants(hex_grid, rng):
     assert abs(g.samples.mean()) <= 1e-12 * np.max(np.abs(g.samples))
 
 
+@pytest.mark.parametrize("where,value", [
+    ("one", math.nan), ("pair", math.nan), ("one", math.inf), ("pair", math.inf),
+    ("one", complex(0.0, math.nan)),
+])
+def test_validate_rejects_non_finite_coefficients_off_the_zero_mode(square_basis, where, value):
+    c = np.zeros((16, 16), dtype=complex)
+    c[1, 1] = value
+    if where == "pair":
+        c[-1, -1] = np.conj(c[1, 1])
+    with pytest.raises(ValueError, match="non-finite coefficients"):
+        SpectralField(Grid(square_basis, 16, 16), c).validate()
+
+
 def test_green_single_mode_and_compose(hex_grid, hex_info):
     w = _unit_mode_field(hex_grid, hex_info)
     F = analyze(w)
