@@ -356,12 +356,8 @@ def _amplitude_orderings(amps: tuple[float, ...]) -> list[tuple[float, ...]]:
     DEFAULT_ORBIT_TOL into classes, and an ordering's sequence of class
     labels is its canonical key.  The first ordering of each key is kept, so
     ``amps`` itself stands for its own class, and every kept tuple is an
-    exact rearrangement of ``amps``.  Without ties every ordering is its
-    own class.
+    exact rearrangement of ``amps``.
     """
-    ranked = sorted(amps)
-    if all(b - a > DEFAULT_ORBIT_TOL for a, b in zip(ranked, ranked[1:])):
-        return sorted(itertools.permutations(amps))
     order = sorted(range(len(amps)), key=amps.__getitem__)
     label = [0] * len(amps)
     for prev, i in zip(order, order[1:]):
@@ -401,11 +397,9 @@ def orbit_census(reference: EigenstateCoeffs) -> OrbitCensus:
         branches = [(0.0, 0.0, _wrap_phase(-theta))]
         if a1 * a2 * a3 > DEFAULT_ORBIT_TOL and circ_dist(theta, -theta) > DEFAULT_ORBIT_TOL:
             branches.append((0.0, 0.0, _wrap_phase(theta)))
-    zeros = 0.0 in reference.amps
     reps = tuple(
         EigenstateCoeffs._trusted(
-            info, amps,
-            tuple(p if a > 0 else 0.0 for a, p in zip(amps, phases)) if zeros else phases)
+            info, amps, tuple(p if a > 0 else 0.0 for a, p in zip(amps, phases)))
         for amps in _amplitude_orderings(reference.amps) for phases in branches)
     if len(reps) > CENSUS_BOUNDS[info.dim]:
         raise InternalInvariant(

@@ -144,20 +144,15 @@ def _worker_cap(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
-# The problem flags of `stability`, which a manifest sets instead, and the
-# run values that apply without a manifest when the flag is not given.
+# The problem flags of `stability`, which a manifest sets instead.
 _PROBLEM_FLAGS = ("--preset", "--xi", "--eta", "--coeffs",
                   "--resolution", "--dt", "--t-end", "--p-norm")
-_RUN_DEFAULTS = {"resolution": 128, "dt": 1e-2, "t_end": 20.0, "p_norm": 2.0}
-
-
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
 
 
 def cmd_stability(args) -> int:
     if args.manifest:
-        given = [f for f in _PROBLEM_FLAGS if getattr(args, _dest(f)) is not None]
+        given = [f for f in _PROBLEM_FLAGS
+                 if getattr(args, f[2:].replace("-", "_")) is not None]
         if given:
             raise ManifestError(f"{', '.join(given)} cannot be combined with --manifest, "
                                 "which sets the lattice, state and run")
@@ -165,16 +160,15 @@ def cmd_stability(args) -> int:
     else:
         if not args.coeffs:
             raise ManifestError("--coeffs is required without a manifest")
-        run = {k: d if getattr(args, k) is None else getattr(args, k)
-               for k, d in _RUN_DEFAULTS.items()}
+        run = {"n1": args.resolution, "n2": args.resolution,
+               "dt": args.dt, "p_norm": args.p_norm}
         man = ExperimentManifest(
+            **{k: v for k, v in run.items() if v is not None},
             preset=args.preset,
             xi=args.xi and tuple(args.xi),
             eta=args.eta and tuple(args.eta),
-            n1=run["resolution"], n2=run["resolution"],
-            dt=run["dt"], t_end=run["t_end"],
+            t_end=20.0 if args.t_end is None else args.t_end,
             reference=tuple(float(v) for v in args.coeffs.split()),
-            p_norm=run["p_norm"],
             output_dir=args.output or "out",
         )
         man.reference_coeffs()  # validate against the lattice now
@@ -254,11 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, action="append",
                    help="perturbation size; repeatable")
     p.add_argument("--seed", type=int, action="append", help="random seed; repeatable")
-    for flag, kind, what in (("--resolution", int, "grid points per axis"),
-                             ("--dt", float, "time step"), ("--t-end", float, "final time"),
-                             ("--p-norm", float, "orbit-distance exponent")):
-        p.add_argument(flag, type=kind,
-                       help=f"{what}, without a manifest (default {_RUN_DEFAULTS[_dest(flag)]})")
+    p.add_argument("--resolution", type=int)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--t-end", type=float)
+    p.add_argument("--p-norm", type=float)
     p.add_argument("--output", help="output directory")
     p.set_defaults(func=cmd_stability)
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -376,19 +375,6 @@ def test_census_agrees_with_moment_oracle(dim):
     assert compared >= 650
 
 
-def _label_orderings(amps):
-    """The orderings as classes of same_orbit-equal amplitudes, labelled after
-    sorting: the census's route for ties, here for every reference."""
-    order = sorted(range(len(amps)), key=amps.__getitem__)
-    label = [0] * len(amps)
-    for prev, i in zip(order, order[1:]):
-        label[i] = label[prev] + (amps[i] - amps[prev] > DEFAULT_ORBIT_TOL)
-    kept = {}
-    for perm in itertools.permutations(range(len(amps))):
-        kept.setdefault(tuple(label[i] for i in perm), tuple(amps[i] for i in perm))
-    return sorted(kept.values())
-
-
 def _hex_bits(c):
     return [x.hex() for x in c.amps + c.phases]
 
@@ -398,9 +384,7 @@ def test_census_representatives_are_the_public_constructors(dim):
     """Bench-style references with zero amplitudes, ties within the orbit
     tolerance and theta in {0, pi}: every representative is, bit for bit, the
     public constructor's state from its amplitudes and its branch phases
-    (0, ..., 0, -+theta) unwrapped, and the orderings are the label route's."""
-    import torus_euler.census as cn
-
+    (0, ..., 0, -+theta) unwrapped."""
     rng = np.random.default_rng(900 + dim)
     n = dim // 2
     for i in range(600):
@@ -421,7 +405,6 @@ def test_census_representatives_are_the_public_constructors(dim):
             theta = ref.phases[0] + ref.phases[1] - ref.phases[2]
             branches = [(0.0, 0.0, -theta), (0.0, 0.0, theta)]
         out = orbit_census(ref)
-        assert cn._amplitude_orderings(ref.amps) == _label_orderings(ref.amps)
         for r in out.representatives:
             assert type(r) is EigenstateCoeffs and r.info is info
             assert _hex_bits(r) == _hex_bits(EigenstateCoeffs(info, r.amps, r.phases))
