@@ -74,6 +74,7 @@ from .euler import (
     admissibility_check,
     rhs,
     run,
+    stability_ensemble,
     stability_experiment,
     step,
 )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from . import __version__
 from .census import CENSUS_BOUNDS, linf_datum, orbit_census
 from .eigenstate import orbit_invariant, same_orbit, synthesize_eigenstate
 from .errors import NumericalBlowup, TorusEulerError
-from .euler import run, stability_experiment
+from .euler import run, stability_ensemble
 from .io import parse_coeffs, write_torf
 from .lattice import LatticeBasis, classify_eigenspace, dual_basis, preset_basis, shortest_vectors
 from .manifest import ExperimentManifest, ManifestError
@@ -119,31 +118,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _stability_job(man_text: str, eps: float, seed: int, outdir: str) -> str:
-    man = ExperimentManifest.from_text(man_text)
-    config = man.solver_config()
-    reference = man.reference_coeffs()
-    diag = stability_experiment(man.basis(), reference, eps, seed, man.p_norm, config)
-    path = Path(outdir) / f"stability_eps{eps:g}_seed{seed}.csv"
-    with open(path, "w") as fh:
-        diag.to_csv(fh)
-    return str(path)
-
-
-def _worker_cap(n_jobs: int) -> int:
-    env = os.environ.get("TORUS_EULER_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ManifestError(f"TORUS_EULER_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ManifestError("TORUS_EULER_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
 # The problem flags of `stability`, which a manifest sets instead.
 _PROBLEM_FLAGS = ("--preset", "--xi", "--eta", "--coeffs",
                   "--resolution", "--dt", "--t-end", "--p-norm")
@@ -161,39 +135,27 @@ def cmd_stability(args) -> int:
         if not args.coeffs:
             raise ManifestError("--coeffs is required without a manifest")
         run = {"n1": args.resolution, "n2": args.resolution,
-               "dt": args.dt, "p_norm": args.p_norm}
+               "dt": args.dt, "t_end": args.t_end, "p_norm": args.p_norm}
         man = ExperimentManifest(
             **{k: v for k, v in run.items() if v is not None},
             preset=args.preset,
             xi=args.xi and tuple(args.xi),
             eta=args.eta and tuple(args.eta),
-            t_end=20.0 if args.t_end is None else args.t_end,
             reference=tuple(float(v) for v in args.coeffs.split()),
-            output_dir=args.output or "out",
         )
-        man.reference_coeffs()  # validate against the lattice now
     man = dataclasses.replace(man, epsilons=tuple(args.eps or man.epsilons),
                               seeds=tuple(args.seed or man.seeds))
     if not man.epsilons or not man.seeds:
         raise ManifestError("need at least one epsilon and one seed")
-    man.solver_config()  # a t_end or snapshot times the run cannot honour fail here
+    # a bad reference, t_end, snapshot time or worker cap fails before any output
+    results = stability_ensemble(man.basis(), man.reference_coeffs(), man.epsilons,
+                                 man.seeds, man.p_norm, man.solver_config())
     outdir = Path(args.output or man.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = [(eps, seed) for eps in man.epsilons for seed in man.seeds]
-    man_text = man.to_text()
-    written = []
-    workers = _worker_cap(len(jobs))
-    if workers == 1 or len(jobs) == 1:
-        for eps, seed in jobs:
-            written.append(_stability_job(man_text, eps, seed, str(outdir)))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_stability_job, man_text, eps, seed, str(outdir))
-                       for eps, seed in jobs]
-            written = [f.result() for f in futures]
-    for path in written:
+    for diag in results:
+        path = outdir / f"stability_eps{diag.meta['epsilon']:g}_seed{diag.meta['seed']}.csv"
+        with open(path, "w") as fh:
+            diag.to_csv(fh)
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -12,15 +12,18 @@ half-spectrum columns that the two-thirds rule keeps at zero.  The public
 ``rhs`` and ``step`` take and return full-layout SpectralFields.
 Diagnostics track the conserved quantities (energy, enstrophy, higher
 Casimirs) and, when a target eigenstate is given, the distance to its
-translation orbit.
+translation orbit.  ``stability_ensemble`` runs ``stability_experiment`` over
+epsilon/seed pairs on a pool of at most ``TORUS_EULER_THREADS`` processes
+(default: the CPU count), with the same bits as a serial run.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -60,6 +63,7 @@ __all__ = [
     "run",
     "admissibility_check",
     "stability_experiment",
+    "stability_ensemble",
     "band_limited_perturbation",
 ]
 
@@ -437,3 +441,39 @@ def stability_experiment(basis, reference: EigenstateCoeffs, epsilon: float,
     }
     _, diag = run(config, omega0, target=reference, p_norm=p_norm, meta=meta)
     return diag
+
+
+def _worker_cap() -> int:
+    env = os.environ.get("TORUS_EULER_THREADS")
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"TORUS_EULER_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
+
+
+def stability_ensemble(basis, reference: EigenstateCoeffs, epsilons, seeds,
+                       p_norm: float, config: SolverConfig):
+    """The diagnostics of ``stability_experiment`` for every (epsilon, seed)
+    pair, epsilon-major, as an iterator that yields each in that order.
+
+    ``TORUS_EULER_THREADS`` (read here, before any job runs) caps the process
+    pool; with one worker or one job the jobs run in this process.  Pool
+    workers are spawned, so a script that calls this needs a ``__main__`` guard.
+    """
+    jobs = [(eps, seed) for eps in epsilons for seed in seeds]
+    workers = min(_worker_cap(), len(jobs))
+    if workers <= 1:
+        return (stability_experiment(basis, reference, eps, seed, p_norm, config)
+                for eps, seed in jobs)
+    return _on_pool(workers, partial(stability_experiment, basis, reference,
+                                     p_norm=p_norm, config=config), jobs)
+
+
+def _on_pool(workers: int, job, jobs):
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    # a forked child of a process that runs threads (BLAS, a caller's) may deadlock
+    with ProcessPoolExecutor(workers, get_context("spawn")) as pool:
+        yield from pool.map(job, *zip(*jobs))

@@ -74,7 +74,7 @@ class ExperimentManifest:
     n1: int = 128
     n2: int = 128
     dt: float = 1e-2
-    t_end: float = 10.0
+    t_end: float = 20.0
     dealias: str = "two_thirds"
     diag_stride: int = 10
     snapshot_times: tuple[float, ...] = ()

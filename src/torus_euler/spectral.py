@@ -126,8 +126,6 @@ class ModeTable:
 
     m: np.ndarray        # integer mode index along xi*
     n: np.ndarray        # integer mode index along eta*
-    kx: np.ndarray       # Cartesian wavevector components
-    ky: np.ndarray
     ksq: np.ndarray      # |k|^2
     inv_lap: np.ndarray  # 1/(4 pi^2 |k|^2), zero at the origin
     dx: np.ndarray       # 2 pi i k_x with the unpaired Nyquist lines zeroed
@@ -154,9 +152,9 @@ def modes(grid: Grid) -> ModeTable:
     dx = 2.0j * math.pi * kx * ny
     dy = 2.0j * math.pi * ky * ny
     dealias = (np.abs(mm) <= (n1 - 1) // 3) & (np.abs(nn) <= (n2 - 1) // 3)
-    for a in (mm, nn, kx, ky, ksq, inv_lap, dx, dy, dealias):
+    for a in (mm, nn, ksq, inv_lap, dx, dy, dealias):
         a.setflags(write=False)
-    return ModeTable(mm, nn, kx, ky, ksq, inv_lap, dx, dy, dealias)
+    return ModeTable(mm, nn, ksq, inv_lap, dx, dy, dealias)
 
 
 @dataclass(frozen=True)

@@ -585,14 +585,12 @@ def check_stability_witness(epsilons=(1e-3, 1e-2), seeds=(1, 2, 3, 4, 5),
     ref = eig.EigenstateCoeffs(info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     cfg = euler.SolverConfig(grid, dt=1e-2, t_end=t_end, diag_stride=50)
     worst_amp, worst_theta = 0.0, 0.0
-    for eps in epsilons:
-        for seed in seeds:
-            diag = euler.stability_experiment(basis, ref, eps, seed, 2.0, cfg)
-            dist, theta = diag["orbit_dist"], diag["theta"]
-            amp = float(np.max(dist)) / dist[0]
-            dth = np.abs((theta - theta[0] + math.pi) % (2 * math.pi) - math.pi)
-            worst_amp = max(worst_amp, amp)
-            worst_theta = max(worst_theta, float(np.max(dth)))
+    for diag in euler.stability_ensemble(basis, ref, epsilons, seeds, 2.0, cfg):
+        dist, theta = diag["orbit_dist"], diag["theta"]
+        amp = float(np.max(dist)) / dist[0]
+        dth = np.abs((theta - theta[0] + math.pi) % (2 * math.pi) - math.pi)
+        worst_amp = max(worst_amp, amp)
+        worst_theta = max(worst_theta, float(np.max(dth)))
     ok = worst_amp <= 10.0 and worst_theta <= 0.1
     return CheckResult("stability-witness", ok,
                        f"max D(t)/D(0) = {worst_amp:.2f}, max |theta drift| = {worst_theta:.3f} rad")

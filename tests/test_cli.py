@@ -208,15 +208,35 @@ def test_stability_manifest_takes_eps_seed_and_output(tmp_path, capsys, monkeypa
 def test_stability_run_defaults_without_a_manifest(tmp_path, capsys, monkeypatch):
     import torus_euler.cli as cli
 
-    monkeypatch.setenv("TORUS_EULER_THREADS", "1")
     seen = []
-    monkeypatch.setattr(cli, "_stability_job", lambda text, *job: seen.append(text) or "x")
+    monkeypatch.setattr(cli, "stability_ensemble",
+                        lambda basis, ref, eps, seeds, p_norm, config:
+                        seen.append((config.grid.n1, config.grid.n2, config.dt,
+                                     config.t_end, p_norm)) or iter(()))
     code, _, _ = run_cli(capsys, "stability", "--preset", "hexagonal", "--coeffs",
                          "1 0 1 0 1 0", "--eps", "0.01", "--seed", "7",
                          "--output", str(tmp_path / "out"))
     assert code == 0
-    man = ExperimentManifest.from_text(seen[0])
-    assert (man.n1, man.n2, man.dt, man.t_end, man.p_norm) == (128, 128, 1e-2, 20.0, 2.0)
+    # a manifest that leaves the run out gets the same defaults
+    path = tmp_path / "bare.ini"
+    path.write_text("[lattice]\npreset = hexagonal\n\n"
+                    "[experiment]\nreference = 1 0 1 0 1 0\nepsilons = 0.01\nseeds = 7\n")
+    code, _, _ = run_cli(capsys, "stability", "--manifest", str(path),
+                         "--output", str(tmp_path / "out"))
+    assert code == 0
+    assert seen == [(128, 128, 1e-2, 20.0, 2.0)] * 2
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_worker_cap_exits_2_before_the_output_directory(tmp_path, capsys, monkeypatch,
+                                                            threads):
+    monkeypatch.setenv("TORUS_EULER_THREADS", threads)
+    outdir = tmp_path / "never"
+    code, _, err = run_cli(capsys, "stability", "--manifest", str(_small_manifest(tmp_path)),
+                           "--output", str(outdir))
+    assert code == 2
+    assert "TORUS_EULER_THREADS" in err
+    assert not outdir.exists()
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
@@ -265,12 +285,18 @@ def test_stability_quick_flags(tmp_path, capsys):
 
 
 def test_stability_sweep_worker_pool(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TORUS_EULER_THREADS", "2")
     path = _small_manifest(tmp_path, epsilons=(0.01, 0.001), seeds=(1, 2))
-    code, out, _ = run_cli(capsys, "stability", "--manifest", str(path))
-    assert code == 0
-    files = sorted((tmp_path / "out").glob("stability_*.csv"))
-    assert len(files) == 4
+    written = {}
+    for threads in ("2", "1"):
+        monkeypatch.setenv("TORUS_EULER_THREADS", threads)
+        outdir = tmp_path / f"threads{threads}"
+        code, out, _ = run_cli(capsys, "stability", "--manifest", str(path),
+                               "--output", str(outdir))
+        assert code == 0
+        assert out.count("wrote ") == 4
+        written[threads] = {f.name: f.read_bytes() for f in outdir.glob("stability_*.csv")}
+    assert len(written["2"]) == 4
+    assert written["2"] == written["1"]
 
 
 def test_unhonourable_snapshots_exit_2(tmp_path, capsys):

@@ -21,6 +21,7 @@ from torus_euler import (
     project_to_e1,
     rhs,
     run,
+    stability_ensemble,
     stability_experiment,
     step,
     synthesize_eigenstate,
@@ -187,6 +188,37 @@ def test_stability_experiment_tracks_theta(hex_info, hex_basis):
     drift = np.abs((diag["theta"] - diag["theta"][0] + math.pi) % (2 * math.pi) - math.pi)
     assert np.max(drift) < 0.05
     assert np.max(diag["orbit_dist"]) < 0.1
+
+
+def test_stability_ensemble_pool_is_bitwise_the_serial_run(hex_info, hex_basis, monkeypatch):
+    grid = Grid(hex_basis, 32, 32)
+    ref = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    cfg = SolverConfig(grid, dt=2e-2, t_end=0.4, diag_stride=5)
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TORUS_EULER_THREADS", threads)
+        runs[threads] = list(stability_ensemble(hex_basis, ref, (1e-2, 1e-3), (1, 2), 2.0, cfg))
+    assert [(d.meta["epsilon"], d.meta["seed"]) for d in runs["2"]] == [
+        (1e-2, 1), (1e-2, 2), (1e-3, 1), (1e-3, 2)]
+    for serial, pooled in zip(runs["1"], runs["2"], strict=True):
+        assert serial.meta == pooled.meta
+        assert serial.columns.keys() == pooled.columns.keys()
+        for name in serial.columns:
+            assert np.array_equal(serial[name], pooled[name], equal_nan=True), name
+
+
+@pytest.mark.parametrize("threads,epsilons,seeds",
+                         [("1", (0.1, 0.2), (1, 2)), ("2", (0.1,), (1,))])
+def test_stability_ensemble_runs_in_process_on_one_worker_or_job(monkeypatch, threads,
+                                                                 epsilons, seeds):
+    import torus_euler.euler as euler
+
+    calls = []
+    monkeypatch.setattr(euler, "stability_experiment", lambda *job: calls.append(job) or job)
+    monkeypatch.setenv("TORUS_EULER_THREADS", threads)
+    out = list(euler.stability_ensemble("basis", "ref", epsilons, seeds, 2.0, "cfg"))
+    assert out == calls == [("basis", "ref", eps, seed, 2.0, "cfg")
+                            for eps in epsilons for seed in seeds]
 
 
 _MEAN_ZERO_ENTRIES = {
