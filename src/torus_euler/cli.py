@@ -131,6 +131,9 @@ def cmd_stability(args) -> int:
             raise ManifestError(f"{', '.join(given)} cannot be combined with --manifest, "
                                 "which sets the lattice, state and run")
         man = ExperimentManifest.from_file(args.manifest)
+        if man.snapshot_times:
+            raise ManifestError("[solver] snapshot_times is not used by stability; "
+                                "simulate writes snapshots")
     else:
         if not args.coeffs:
             raise ManifestError("--coeffs is required without a manifest")

@@ -24,6 +24,7 @@ from .spectral import (
     SpectralField,
     _as_real,
     _as_spectral,
+    _power,
     _require_mean_zero,
     int_power,
     synthesize,
@@ -104,7 +105,9 @@ def _check_same_space(c: EigenstateCoeffs, other: EigenstateCoeffs):
         raise MixedEigenspace("coefficient tuples live on different eigenspaces")
 
 
-def _mode_indices(info: EigenspaceInfo, grid: Grid) -> list[tuple[int, int]]:
+def _mode_indices(info: EigenspaceInfo, grid: Grid) -> list[tuple[int, int, bool]]:
+    """(row, column, conjugated) of each eigenmode in the half spectrum: mode
+    k itself where n >= 0, else -k, whose coefficient is k's conjugate."""
     if grid.basis != info.basis:
         raise MixedEigenspace("grid belongs to a different torus than the eigenspace")
     out = []
@@ -113,18 +116,32 @@ def _mode_indices(info: EigenspaceInfo, grid: Grid) -> list[tuple[int, int]]:
             raise GridTooCoarse(
                 f"mode ({m}, {n}) not resolvable on a {grid.n1}x{grid.n2} grid"
             )
-        out.append((m % grid.n1, n % grid.n2))
+        out.append((m % grid.n1, n, False) if n >= 0 else (-m % grid.n1, -n, True))
     return out
+
+
+def _eigenmodes(F: SpectralField, info: EigenspaceInfo) -> tuple[np.ndarray, float]:
+    """The coefficients of the eigenmodes k_i in F, and F's power off the
+    eigenmodes and their negatives, summed without cancellation against
+    the total."""
+    power = _power(F)
+    raw = []
+    for i1, i2, conj in _mode_indices(info, F.grid):
+        raw.append(F.coeffs[i1, i2].conjugate() if conj else F.coeffs[i1, i2])
+        power[i1, i2] = 0.0
+        if i2 == 0:  # column 0 holds -k too
+            power[-i1, 0] = 0.0
+    return np.array(raw), float(np.sum(power))
 
 
 def synthesize_eigenstate(c: EigenstateCoeffs, grid: Grid) -> RealField:
     """Sample sum_i A_i cos(2 pi k_i . x + alpha_i) by placing its modes."""
-    idx = _mode_indices(c.info, grid)
-    coeffs = np.zeros((grid.n1, grid.n2), dtype=complex)
-    for (i1, i2), a, al in zip(idx, c.amps, c.phases):
+    coeffs = np.zeros(grid.spectral_shape, dtype=complex)
+    for (i1, i2, conj), a, al in zip(_mode_indices(c.info, grid), c.amps, c.phases):
         half = 0.5 * a * complex(math.cos(al), math.sin(al))
-        coeffs[i1, i2] += half
-        coeffs[-i1 % grid.n1, -i2 % grid.n2] += half.conjugate()
+        coeffs[i1, i2] = half.conjugate() if conj else half
+        if i2 == 0:  # column 0 holds -k too
+            coeffs[-i1, 0] = half.conjugate()
     return synthesize(SpectralField(grid, coeffs))
 
 
@@ -224,17 +241,8 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
     cosine per active mode; only the 6D case (where the third phase is
     tied to the first two) needs a search, and then only over one angle.
     """
-    grid = F.grid
-    idx = _mode_indices(c.info, grid)
-    power = np.abs(F.coeffs) ** 2
-    # power off the eigenspace modes, summed without cancellation
-    for i1, i2 in idx:
-        power[i1, i2] = 0.0
-        power[-i1 % grid.n1, -i2 % grid.n2] = 0.0
-    residual_power = float(np.sum(power))
-
+    raw, residual_power = _eigenmodes(F, c.info)
     amps = np.array(c.amps)
-    raw = np.array([F.coeffs[i1, i2] for i1, i2 in idx])
     z = raw * np.exp(-1j * np.array(c.phases))
     r = np.abs(z)
     beta = np.angle(z)
@@ -298,7 +306,7 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
     # per-mode differences stay nonnegative, so a near-perfect match is not
     # lost to cancellation against the total power
     target = 0.5 * amps * np.exp(1j * (np.array(c.phases) - t_opt))
-    dist_sq = grid.area * (residual_power + 2.0 * float(np.sum(np.abs(raw - target) ** 2)))
+    dist_sq = F.grid.area * (residual_power + 2.0 * float(np.sum(np.abs(raw - target) ** 2)))
 
     # recover a translation realizing the optimal phases
     act = amps > 0
@@ -551,16 +559,13 @@ def _eigenspace(grid: Grid) -> EigenspaceInfo:
 def project_to_e1(f: RealField | SpectralField) -> tuple[EigenstateCoeffs, float]:
     """Amplitude/phase content of f on the first eigenspace, plus the L2 residual."""
     info = _eigenspace(f.grid)
-    idx = _mode_indices(info, f.grid)
     F = _as_spectral(f)
     _require_mean_zero(F)
-    raw = [F.coeffs[i1, i2] for i1, i2 in idx]
+    raw, residual_power = _eigenmodes(F, info)
     amps = [2.0 * abs(z) for z in raw]
     floor = 1e-12 * max(amps, default=0.0)
     pairs = [(a, _wrap_phase(float(np.angle(z)))) if a > floor else (0.0, 0.0)
              for a, z in zip(amps, raw)]
-    total_power = float(np.sum(np.abs(F.coeffs) ** 2))
-    mode_power = sum(2.0 * abs(z) ** 2 for z in raw)
-    residual = math.sqrt(f.grid.area * max(total_power - mode_power, 0.0))
+    residual = math.sqrt(f.grid.area * residual_power)
     coeffs = EigenstateCoeffs(info, tuple(a for a, _ in pairs), tuple(p for _, p in pairs))
     return coeffs, residual

@@ -4,15 +4,14 @@ The vorticity is advanced in mode space with classical fixed-step RK4; the
 advection term is evaluated pointwise in sample space and truncated with
 the two-thirds rule, which removes all aliasing from the quadratic
 nonlinearity.  The vorticity is real, so the solver keeps only the rfft2
-half spectrum (columns 0..n2/2).  Its transforms are 1-D ``numpy.fft``
-calls written into buffers that a ``_Kernel`` allocates once per run:
-``ifft`` over axis 0 then ``irfft`` over axis 1, and back with ``rfft``
-over axis 1 then ``fft`` over axis 0.  The axis-0 transforms skip the
-half-spectrum columns that the two-thirds rule keeps at zero.  The public
-``rhs`` and ``step`` take and return full-layout SpectralFields.
-Diagnostics track the conserved quantities (energy, enstrophy, higher
-Casimirs) and, when a target eigenstate is given, the distance to its
-translation orbit.  ``stability_ensemble`` runs ``stability_experiment`` over
+half spectrum (columns 0..n2/2), the layout of every SpectralField.  Its
+transforms are 1-D ``numpy.fft`` calls written into buffers that a
+``_Kernel`` allocates once per run: ``ifft`` over axis 0 then ``irfft`` over
+axis 1, and back with ``rfft`` over axis 1 then ``fft`` over axis 0.  The
+axis-0 transforms skip the half-spectrum columns that the two-thirds rule
+keeps at zero.  Diagnostics track the conserved quantities (energy,
+enstrophy, higher Casimirs) and, when a target eigenstate is given, the
+distance to its translation orbit.  ``stability_ensemble`` runs ``stability_experiment`` over
 epsilon/seed pairs on a pool of at most ``TORUS_EULER_THREADS`` processes
 (default: the CPU count), with the same bits as a serial run.
 """
@@ -44,10 +43,8 @@ from .spectral import (
     casimir,
     energy,
     enstrophy,
-    full_spectrum,
-    half_modes,
-    half_spectrum,
     lp_norm,
+    modes,
     random_mean_zero_field,
 )
 
@@ -190,9 +187,9 @@ class _Kernel:
     """
 
     def __init__(self, grid: Grid, dealias: str, masked_state: bool):
-        self.table = table = half_modes(grid)
-        n1, n2 = table.shape
-        half = n2 // 2 + 1
+        self.table = table = modes(grid)
+        n1, n2 = grid.n1, grid.n2
+        self.n2, half = n2, n2 // 2 + 1
         if dealias == "two_thirds":
             self.fwd = (n2 - 1) // 3 + 1
             # numpy casts a bool or float multiplier to complex for every
@@ -218,8 +215,7 @@ class _Kernel:
         ``analyze``; reads the first ``width`` columns of ``c`` only."""
         np.fft.ifft(c[:, :self.width], axis=0, norm="forward",
                     out=self.cols[:, :self.width])
-        return np.fft.irfft(self.cols, n=self.table.shape[1], axis=1, norm="forward",
-                            out=out)
+        return np.fft.irfft(self.cols, n=self.n2, axis=1, norm="forward", out=out)
 
     def velocity(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Samples of d2 psi and d1 psi, in the ``v1`` and ``v2`` buffers;
@@ -289,16 +285,15 @@ def _public_kernel(grid: Grid, dealias: str) -> _Kernel:
 def rhs(omega: SpectralField, dealias: str = "two_thirds") -> SpectralField:
     """Instantaneous vorticity tendency of the Euler flow."""
     _require_mean_zero(omega)
-    c = half_spectrum(omega)
-    out = _public_kernel(omega.grid, dealias).rhs(c, np.zeros_like(c))
-    return full_spectrum(omega.grid, out)
+    out = np.zeros(omega.grid.spectral_shape, dtype=complex)
+    return SpectralField(omega.grid, _public_kernel(omega.grid, dealias).rhs(omega.coeffs, out))
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """One classical RK4 step of a full-layout state; ``run`` keeps the half spectrum."""
-    c = half_spectrum(state.omega)
+    """One classical RK4 step, into a new state."""
+    c = state.omega.coeffs.copy()
     _public_kernel(config.grid, config.dealias).step(c, config.dt)
-    return SolverState(state.t + config.dt, full_spectrum(config.grid, c))
+    return SolverState(state.t + config.dt, SpectralField(config.grid, c))
 
 
 def _min_cell_size(grid: Grid) -> float:
@@ -311,7 +306,7 @@ def _diag_row(t, c, w, grid, target, p_norm):
     """One diagnostics row, in ``COLUMNS`` order, from the half spectrum ``c``
     and its samples ``w``.  The mean velocity is 0.0: the velocity is a
     derivative of the periodic stream function."""
-    F = full_spectrum(grid, c)
+    F = SpectralField(grid, c)
     f = RealField(grid, w)
     if target is not None:
         # the L2 distance works on coefficients, the Lp scan on samples
@@ -337,7 +332,7 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     F0 = analyze(omega0) if isinstance(omega0, RealField) else omega0
     _require_mean_zero(F0)
     kernel = _Kernel(grid, config.dealias, masked_state=True)
-    c = half_spectrum(F0)
+    c = F0.coeffs.copy()
     if kernel.mask is not None:
         c *= kernel.mask
 

@@ -1,11 +1,13 @@
 """Fourier representation of mean-zero fields on a lattice torus.
 
 Sampling and indexing live in lattice coordinates: the unit cell [0,1)^2 is
-sampled on an n1 x n2 grid and transformed with an ordinary 2D FFT, so one
-rectangular transform serves every torus shape.  Geometry enters only
-through the per-mode wavevector k = m xi* + n eta*, which carries the
-Laplacian eigenvalue 4 pi^2 |k|^2, the Green multiplier, and the Cartesian
-derivative factors.
+sampled on an n1 x n2 grid and transformed with an ordinary 2D real FFT, so
+one rectangular transform serves every torus shape.  A real field's
+coefficients are Hermitian, so only the rfft2 half spectrum is kept: rows m
+in FFT order, columns n = 0..n2/2; mode (m, -n) is the conjugate of (-m, n).
+Geometry enters only through the per-mode wavevector k = m xi* + n eta*,
+which carries the Laplacian eigenvalue 4 pi^2 |k|^2, the Green multiplier,
+and the Cartesian derivative factors.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ __all__ = [
     "SpectralField",
     "ModeTable",
     "modes",
-    "HalfModeTable",
-    "half_modes",
-    "half_spectrum",
-    "full_spectrum",
     "sample_points",
     "analyze",
     "synthesize",
@@ -70,6 +68,11 @@ class Grid:
         """Quadrature weight of one sample point."""
         return self.basis.area / (self.n1 * self.n2)
 
+    @property
+    def spectral_shape(self) -> tuple[int, int]:
+        """Shape of the rfft2 half spectrum of a field on this grid."""
+        return self.n1, self.n2 // 2 + 1
+
 
 @dataclass
 class RealField:
@@ -92,7 +95,8 @@ class RealField:
 
 @dataclass
 class SpectralField:
-    """Complex mode coefficients in FFT layout; coeff (0,0) is the mean."""
+    """Complex mode coefficients on the rfft2 half spectrum
+    (``Grid.spectral_shape``); coeff (0,0) is the mean."""
 
     grid: Grid
     coeffs: np.ndarray
@@ -100,44 +104,39 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
-    def validate(self, hermitian_tol: float = 1e-12):
-        if self.coeffs.shape != (self.grid.n1, self.grid.n2):
-            raise ShapeMismatch(
-                f"coeffs {self.coeffs.shape} vs grid ({self.grid.n1}, {self.grid.n2})"
-            )
+    def validate(self):
+        if self.coeffs.shape != self.grid.spectral_shape:
+            raise ShapeMismatch(f"coeffs {self.coeffs.shape} vs {self.grid.spectral_shape}")
         _require_mean_zero(self)
         scale = np.max(np.abs(self.coeffs)) + 1e-300
         if not math.isfinite(scale):
             raise ValueError("field contains non-finite coefficients")
-        flipped = np.conj(self.coeffs[_flip_index(self.grid.n1)][:, _flip_index(self.grid.n2)])
-        err = np.max(np.abs(self.coeffs - flipped))
-        if not err <= hermitian_tol * scale:
+        # columns 0 and n2/2 hold both m and -m; the other columns' mirrors are implicit
+        edges = self.coeffs[:, [0, -1]]
+        err = np.max(np.abs(edges - np.conj(edges[-np.arange(self.grid.n1)])))
+        if not err <= 1e-12 * scale:
             raise ValueError(f"coefficients are not Hermitian (err {err:.2e})")
-
-
-def _flip_index(n: int) -> np.ndarray:
-    """Index permutation taking mode m to mode -m in FFT layout."""
-    return (-np.arange(n)) % n
 
 
 @dataclass(frozen=True)
 class ModeTable:
-    """Per-mode arrays shared by all fields on one grid."""
+    """Per-mode arrays of the half spectrum, shared by all fields on one grid."""
 
     m: np.ndarray        # integer mode index along xi*
-    n: np.ndarray        # integer mode index along eta*
+    n: np.ndarray        # integer mode index along eta*, -n2/2 on the last column
     ksq: np.ndarray      # |k|^2
     inv_lap: np.ndarray  # 1/(4 pi^2 |k|^2), zero at the origin
     dx: np.ndarray       # 2 pi i k_x with the unpaired Nyquist lines zeroed
     dy: np.ndarray
     dealias: np.ndarray  # boolean two-thirds mask
+    weight: np.ndarray   # Parseval weight: 1 on columns 0 and n2/2, else 2
 
 
 @lru_cache(maxsize=64)
 def modes(grid: Grid) -> ModeTable:
     n1, n2 = grid.n1, grid.n2
     m = np.fft.fftfreq(n1, 1.0 / n1).astype(np.int64)
-    n = np.fft.fftfreq(n2, 1.0 / n2).astype(np.int64)
+    n = np.fft.fftfreq(n2, 1.0 / n2).astype(np.int64)[: n2 // 2 + 1]
     mm, nn = np.meshgrid(m, n, indexing="ij")
     db = dual_basis(grid.basis)
     kx = mm * db.xi_star[0] + nn * db.eta_star[0]
@@ -152,53 +151,10 @@ def modes(grid: Grid) -> ModeTable:
     dx = 2.0j * math.pi * kx * ny
     dy = 2.0j * math.pi * ky * ny
     dealias = (np.abs(mm) <= (n1 - 1) // 3) & (np.abs(nn) <= (n2 - 1) // 3)
-    for a in (mm, nn, ksq, inv_lap, dx, dy, dealias):
+    weight = np.where((nn == 0) | (nn == -n2 // 2), 1.0, 2.0)
+    for a in (mm, nn, ksq, inv_lap, dx, dy, dealias, weight):
         a.setflags(write=False)
-    return ModeTable(mm, nn, ksq, inv_lap, dx, dy, dealias)
-
-
-@dataclass(frozen=True)
-class HalfModeTable:
-    """The solver's multipliers on the rfft2 half spectrum.
-
-    A real field's coefficients are Hermitian, so columns 0..n2/2 of the
-    FFT layout determine them.  Each array here is a contiguous copy of
-    those columns of the ModeTable array of the same name, which keeps the
-    zero mode and the Nyquist lines exactly as the full layout has them.
-    """
-
-    shape: tuple[int, int]  # (n1, n2) of the sample grid
-    inv_lap: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    dealias: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def half_modes(grid: Grid) -> HalfModeTable:
-    t = modes(grid)
-    width = grid.n2 // 2 + 1
-    cut = []
-    for a in (t.inv_lap, t.dx, t.dy, t.dealias):
-        h = np.ascontiguousarray(a[:, :width])
-        h.setflags(write=False)
-        cut.append(h)
-    return HalfModeTable((grid.n1, grid.n2), *cut)
-
-
-def half_spectrum(F: SpectralField) -> np.ndarray:
-    """A fresh contiguous copy of F's columns 0..n2/2 (the rfft2 layout)."""
-    return F.coeffs[:, : F.grid.n2 // 2 + 1].copy()
-
-
-def full_spectrum(grid: Grid, half: np.ndarray) -> SpectralField:
-    """Hermitian extension of rfft2-layout coefficients to the full FFT layout."""
-    n2 = grid.n2
-    out = np.empty((grid.n1, n2), dtype=complex)
-    out[:, : n2 // 2 + 1] = half
-    # coefficient (m, j) with j > n2/2 is the conjugate of (-m, n2 - j)
-    out[:, n2 // 2 + 1:] = np.conj(half[_flip_index(grid.n1), n2 // 2 - 1:0:-1])
-    return SpectralField(grid, out)
+    return ModeTable(mm, nn, ksq, inv_lap, dx, dy, dealias, weight)
 
 
 def sample_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -214,16 +170,14 @@ def analyze(f: RealField) -> SpectralField:
     """Forward transform; coeff (m,n) multiplies exp(2 pi i k . x)."""
     if f.samples.shape != (f.grid.n1, f.grid.n2):
         raise ShapeMismatch(f"samples {f.samples.shape} on {f.grid.n1}x{f.grid.n2} grid")
-    c = np.fft.fft2(f.samples) / (f.grid.n1 * f.grid.n2)
-    return SpectralField(f.grid, c)
+    return SpectralField(f.grid, np.fft.rfft2(f.samples, norm="forward"))
 
 
 def synthesize(F: SpectralField) -> RealField:
-    """Inverse transform to real samples (imaginary part is discarded)."""
-    if F.coeffs.shape != (F.grid.n1, F.grid.n2):
-        raise ShapeMismatch(f"coeffs {F.coeffs.shape} on {F.grid.n1}x{F.grid.n2} grid")
-    s = np.fft.ifft2(F.coeffs) * (F.grid.n1 * F.grid.n2)
-    return RealField(F.grid, np.ascontiguousarray(s.real))
+    """Inverse transform to real samples."""
+    if F.coeffs.shape != F.grid.spectral_shape:
+        raise ShapeMismatch(f"coeffs {F.coeffs.shape} vs {F.grid.spectral_shape}")
+    return RealField(F.grid, np.fft.irfft2(F.coeffs, s=(F.grid.n1, F.grid.n2), norm="forward"))
 
 
 def project_mean_zero(f: RealField) -> RealField:
@@ -279,18 +233,23 @@ def velocity_from_vorticity(omega) -> tuple[RealField, RealField]:
     return v1, v2
 
 
+def _power(F: SpectralField) -> np.ndarray:
+    """|coefficient|^2 of each half-spectrum entry times its Parseval weight,
+    so that a sum over the half spectrum is one over every mode."""
+    return modes(F.grid).weight * np.abs(F.coeffs) ** 2
+
+
 def energy(omega) -> float:
     """Kinetic energy: half the pairing of vorticity with its stream function."""
     F = _as_spectral(omega)
     _require_mean_zero(F)
-    t = modes(F.grid)
-    return 0.5 * F.grid.area * float(np.sum(np.abs(F.coeffs) ** 2 * t.inv_lap))
+    return 0.5 * F.grid.area * float(np.sum(_power(F) * modes(F.grid).inv_lap))
 
 
 def enstrophy(omega) -> float:
     """Integral of the squared vorticity."""
     F = _as_spectral(omega)
-    return F.grid.area * float(np.sum(np.abs(F.coeffs) ** 2))
+    return F.grid.area * float(np.sum(_power(F)))
 
 
 def int_power(x: np.ndarray, m: int) -> np.ndarray:
@@ -335,7 +294,5 @@ def energy_enstrophy_gap(omega) -> float:
     first eigenspace, strictly positive otherwise."""
     F = _as_spectral(omega)
     _require_mean_zero(F)
-    t = modes(F.grid)
     lam1 = classify_eigenspace(F.grid.basis).lambda1
-    weight = 1.0 / lam1 - t.inv_lap
-    return F.grid.area * float(np.sum(np.abs(F.coeffs) ** 2 * weight))
+    return F.grid.area * float(np.sum(_power(F) * (1.0 / lam1 - modes(F.grid).inv_lap)))

@@ -272,15 +272,15 @@ def check_poincare(n: int = 200, seed: int = 105) -> CheckResult:
     worst_violation, worst_eq = 0.0, 0.0
     for i in range(n):
         u = sp.random_mean_zero_field(grid, rng)
-        U = sp.analyze(u).coeffs
-        l2 = grid.area * float(np.sum(np.abs(U) ** 2))
-        h1 = grid.area * float(np.sum(np.abs(U) ** 2 * 4.0 * math.pi**2 * t.ksq))
+        U = t.weight * np.abs(sp.analyze(u).coeffs) ** 2
+        l2 = grid.area * float(np.sum(U))
+        h1 = grid.area * float(np.sum(U * 4.0 * math.pi**2 * t.ksq))
         worst_violation = max(worst_violation, lam1 * l2 - h1)
         if i < 50:
             c = _random_state(rng, info)
-            w = sp.analyze(eig.synthesize_eigenstate(c, grid)).coeffs
-            l2e = grid.area * float(np.sum(np.abs(w) ** 2))
-            h1e = grid.area * float(np.sum(np.abs(w) ** 2 * 4.0 * math.pi**2 * t.ksq))
+            w = t.weight * np.abs(sp.analyze(eig.synthesize_eigenstate(c, grid)).coeffs) ** 2
+            l2e = grid.area * float(np.sum(w))
+            h1e = grid.area * float(np.sum(w * 4.0 * math.pi**2 * t.ksq))
             if l2e > 0:
                 worst_eq = max(worst_eq, abs(lam1 * l2e - h1e) / (lam1 * l2e))
     ok = worst_violation <= 1e-9 and worst_eq <= 1e-10
@@ -464,8 +464,7 @@ def check_orbit_distance(seed: int = 110) -> CheckResult:
                 problems.append(f"case {i}: L^{p_norm:g} translation off by {perr:.2e}")
         F = sp.analyze(f)
         extra = np.zeros_like(F.coeffs)
-        extra[2, -2 % grid.n2] = 0.005
-        extra[-2 % grid.n1, 2] = 0.005
+        extra[-2, 2] = 0.005  # mode (2, -2), stored as its negative
         g = sp.synthesize(sp.SpectralField(grid, F.coeffs + extra))
         d2, _ = eig.orbit_distance(g, c, 2.0)
         want_d = math.sqrt(grid.area * 2.0 * 0.005**2)
@@ -487,7 +486,7 @@ def check_time_reversal(n_steps: int = 50, resolution: int = 64,
     w = eig.synthesize_eigenstate(_random_state(rng, info, zero_frac=0.0), grid).samples
     F = sp.analyze(sp.RealField(grid, w + 0.05 * sp.random_mean_zero_field(grid, rng).samples))
     kernel = euler._Kernel(grid, "two_thirds", masked_state=True)
-    forward = sp.half_spectrum(F) * kernel.mask
+    forward = F.coeffs * kernel.mask
     forward[0, 0] = 0.0
     backward = -forward
     for i in range(n_steps):
@@ -501,6 +500,15 @@ def check_time_reversal(n_steps: int = 50, resolution: int = 64,
 
 # ---------------------------------------------------------------------------
 # solver-scale checks (minutes)
+
+
+def _two_mode_state(grid: sp.Grid, c1: float, c2: float) -> sp.SpectralField:
+    """Coefficient c1 on eta*, a first-shell mode of the hexagonal torus, and
+    c2 on xi* - eta*, on the second shell and stored as its negative."""
+    c = np.zeros(grid.spectral_shape, dtype=complex)
+    c[0, 1] = c1
+    c[-1, 1] = c2
+    return sp.SpectralField(grid, c)
 
 
 def check_solver_steadiness(n_states: int = 3, resolution: int = 128,
@@ -527,17 +535,9 @@ def check_solver_steadiness(n_states: int = 3, resolution: int = 128,
 
 def check_conservation(resolution: int = 128) -> CheckResult:
     """Energy/enstrophy drift <= 1e-8 and exact mean velocity on a two-mode state."""
-    basis = lat.preset_basis("hexagonal")
-    info = lat.classify_eigenspace(basis)
-    grid = sp.Grid(basis, resolution, resolution)
-    c0 = np.zeros((resolution, resolution), dtype=complex)
-    m1, n1 = info.k_coords[0]
-    c0[m1 % resolution, n1 % resolution] = 0.1
-    c0[-m1 % resolution, -n1 % resolution] = 0.1
-    c0[1, -1 % resolution] = 0.05
-    c0[-1 % resolution, 1] = 0.05
+    grid = sp.Grid(lat.preset_basis("hexagonal"), resolution, resolution)
     cfg = euler.SolverConfig(grid, dt=1e-2, t_end=5.0, diag_stride=25)
-    _, diag = euler.run(cfg, sp.SpectralField(grid, c0))
+    _, diag = euler.run(cfg, _two_mode_state(grid, 0.1, 0.05))
     e, z = diag["energy"], diag["enstrophy"]
     e_drift = float(np.max(np.abs(e - e[0]))) / e[0]
     z_drift = float(np.max(np.abs(z - z[0]))) / z[0]
@@ -549,27 +549,20 @@ def check_conservation(resolution: int = 128) -> CheckResult:
 
 def check_rk4_order(resolution: int = 64) -> CheckResult:
     """Terminal-state error ratio between dt and dt/2 lands in [12, 20]."""
-    basis = lat.preset_basis("hexagonal")
-    info = lat.classify_eigenspace(basis)
-    grid = sp.Grid(basis, resolution, resolution)
-    c0 = np.zeros((resolution, resolution), dtype=complex)
-    m1, n1 = info.k_coords[0]
-    c0[m1 % resolution, n1 % resolution] = 0.6
-    c0[-m1 % resolution, -n1 % resolution] = 0.6
-    c0[1, -1 % resolution] = 0.4
-    c0[-1 % resolution, 1] = 0.4
+    grid = sp.Grid(lat.preset_basis("hexagonal"), resolution, resolution)
     final = {}
     import warnings as _warnings
     for dt in (0.05, 0.025, 0.00625):
         cfg = euler.SolverConfig(grid, dt=dt, t_end=1.0)
-        state = euler.SolverState(0.0, sp.SpectralField(grid, c0.copy()))
+        state = euler.SolverState(0.0, _two_mode_state(grid, 0.6, 0.4))
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")
             for _ in range(round(1.0 / dt)):
                 state = euler.step(state, cfg)
         final[dt] = state.omega.coeffs
-    e1 = float(np.linalg.norm(final[0.05] - final[0.00625]))
-    e2 = float(np.linalg.norm(final[0.025] - final[0.00625]))
+    weight = sp.modes(grid).weight  # the Euclidean norm over every mode
+    e1 = math.sqrt(float(np.sum(weight * np.abs(final[0.05] - final[0.00625]) ** 2)))
+    e2 = math.sqrt(float(np.sum(weight * np.abs(final[0.025] - final[0.00625]) ** 2)))
     ratio = e1 / e2
     return CheckResult("rk4-order", 12.0 <= ratio <= 20.0,
                        f"error ratio {ratio:.2f} (errors {e1:.2e} / {e2:.2e})")

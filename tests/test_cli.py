@@ -164,7 +164,7 @@ def test_stability_rejects_preset_with_generators(tmp_path, capsys):
 def _small_manifest(tmp_path, **overrides):
     kwargs = dict(
         preset="hexagonal", n1=32, n2=32, dt=0.02, t_end=0.2,
-        diag_stride=5, snapshot_times=(0.0, 0.2),
+        diag_stride=5,
         reference=(1.0, 0.0, 1.0, 0.0, 1.0, 0.0),
         epsilons=(0.01,), seeds=(1,),
         output_dir=str(tmp_path / "out"),
@@ -205,6 +205,14 @@ def test_stability_manifest_takes_eps_seed_and_output(tmp_path, capsys, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+def test_stability_manifest_rejects_snapshot_times(tmp_path, capsys):
+    path = _small_manifest(tmp_path, snapshot_times=(0.0, 0.2))
+    code, out, err = run_cli(capsys, "stability", "--manifest", str(path))
+    assert code == 2
+    assert "snapshot_times" in err and "simulate" in err
+    assert out == "" and not (tmp_path / "out").exists()
+
+
 def test_stability_run_defaults_without_a_manifest(tmp_path, capsys, monkeypatch):
     import torus_euler.cli as cli
 
@@ -240,7 +248,7 @@ def test_bad_worker_cap_exits_2_before_the_output_directory(tmp_path, capsys, mo
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
-    path = _small_manifest(tmp_path)
+    path = _small_manifest(tmp_path, snapshot_times=(0.0, 0.2))
     code, out, _ = run_cli(capsys, "simulate", "--manifest", str(path))
     assert code == 0
     outdir = tmp_path / "out"
@@ -322,7 +330,7 @@ def test_fractional_step_count_exits_2_before_any_job(tmp_path, capsys):
 
 def test_blowup_exits_3(tmp_path, capsys):
     path = _small_manifest(tmp_path, reference=(200.0, 0.0, 150.0, 0.0, 0.0, 0.0),
-                           dt=2.0, t_end=20.0, diag_stride=1, snapshot_times=())
+                           dt=2.0, t_end=20.0, diag_stride=1)
     with pytest.warns(UserWarning):
         code, _, err = run_cli(capsys, "simulate", "--manifest", str(path))
     assert code == 3

@@ -17,6 +17,7 @@ from torus_euler import (
     SpectralField,
     analyze,
     classify_eigenspace,
+    dual_basis,
     modes,
     orbit_distance,
     orbit_invariant,
@@ -28,7 +29,9 @@ from torus_euler import (
     translate_coeffs,
 )
 from torus_euler.eigenstate import _LpObjective, circ_dist
-from torus_euler.spectral import random_mean_zero_field, sample_points
+from torus_euler.spectral import lp_norm, random_mean_zero_field, sample_points
+
+import full_layout as fl
 
 TAU = 2.0 * math.pi
 
@@ -61,12 +64,12 @@ def test_synthesize_square_closed_form(square_info, square_basis):
 def test_synthesize_mass_only_on_shell(hex_info, hex_grid, rng):
     c = EigenstateCoeffs(hex_info, tuple(rng.uniform(0, 2, 3)),
                          tuple(rng.uniform(0, TAU, 3)))
-    F = analyze(synthesize_eigenstate(c, hex_grid))
-    mask = np.ones_like(F.coeffs, dtype=bool)
+    F = fl.analyze(synthesize_eigenstate(c, hex_grid).samples)
+    mask = np.ones_like(F, dtype=bool)
     for m, n in hex_info.k_coords:
         mask[m % hex_grid.n1, n % hex_grid.n2] = False
         mask[-m % hex_grid.n1, -n % hex_grid.n2] = False
-    assert np.max(np.abs(F.coeffs[mask])) < 1e-14
+    assert np.max(np.abs(F[mask])) < 1e-14
 
 
 def _spectral_derivative(F, mult):
@@ -238,8 +241,7 @@ def test_orbit_distance_orthogonal_mode(hex_info, hex_grid):
     c = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     F = analyze(synthesize_eigenstate(c, hex_grid))
     extra = np.zeros_like(F.coeffs)
-    extra[2, -2 % hex_grid.n2] = 0.005
-    extra[-2 % hex_grid.n1, 2] = 0.005
+    extra[-2, 2] = 0.005  # mode (2, -2), stored as its negative
     g = synthesize(SpectralField(hex_grid, F.coeffs + extra))
     d, _ = orbit_distance(g, c, 2.0)
     want = math.sqrt(hex_grid.area * 2 * 0.005**2)
@@ -296,21 +298,34 @@ def test_project_to_e1(hex_info, hex_grid, rng):
     assert np.max(np.abs(np.array(got.amps) - np.array(c.amps))) < 1e-12
     assert got.amps[1] == 0.0 and got.phases[1] == 0.0
 
-    noise = random_mean_zero_field(hex_grid, rng)
-    F = analyze(noise)
+    noise = fl.analyze(random_mean_zero_field(hex_grid, rng).samples)
     for m, n in hex_info.k_coords:
-        F.coeffs[m % hex_grid.n1, n % hex_grid.n2] = 0
-        F.coeffs[-m % hex_grid.n1, -n % hex_grid.n2] = 0
-    orth = synthesize(F)
+        noise[m % hex_grid.n1, n % hex_grid.n2] = 0
+        noise[-m % hex_grid.n1, -n % hex_grid.n2] = 0
+    orth = RealField(hex_grid, fl.synthesize(noise))
     mixed = RealField(hex_grid, w.samples + orth.samples)
     got2, resid2 = project_to_e1(mixed)
     assert np.max(np.abs(np.array(got2.amps) - np.array(c.amps))) < 1e-12
-    want_resid = math.sqrt(float(np.sum(np.abs(F.coeffs) ** 2)) * hex_grid.area)
-    assert abs(resid2 - want_resid) < 1e-9
+    assert abs(resid2 - lp_norm(orth, 2.0)) < 1e-9
 
     bad = RealField(hex_grid, mixed.samples + 1.0)
     with pytest.raises(NonZeroMean):
         project_to_e1(bad)
+
+
+@pytest.mark.parametrize("eps,rtol", [(1e-2, 1e-12), (1e-6, 1e-9), (1e-8, 1e-7)])
+def test_project_to_e1_residual_of_a_small_off_shell_mode(hex_info, hex_grid, eps, rtol):
+    # the residual is summed off the eigenmodes, not taken as the total power
+    # minus the eigenmodes' power, which cancels to 0 at eps = 1e-8
+    c = EigenstateCoeffs(hex_info, (1.0, 0.7, 0.5), (0.3, 1.1, 5.0))
+    db = dual_basis(hex_grid.basis)
+    k = 2 * np.array(db.xi_star) - 2 * np.array(db.eta_star)
+    x, y = sample_points(hex_grid)
+    mode = np.cos(TAU * (k[0] * x + k[1] * y))
+    w = synthesize_eigenstate(c, hex_grid).samples + eps * mode
+    _, resid = project_to_e1(RealField(hex_grid, w))
+    want = eps * math.sqrt(hex_grid.area / 2)
+    assert abs(resid - want) <= rtol * want
 
 
 def test_grid_too_coarse():

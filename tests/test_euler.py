@@ -29,6 +29,8 @@ from torus_euler import (
 from torus_euler.euler import band_limited_perturbation
 from torus_euler.spectral import lp_norm
 
+import full_layout as fl
+
 
 def _two_mode_state(grid, info, a1=0.2, a2=0.1):
     c = np.zeros((grid.n1, grid.n2), dtype=complex)
@@ -37,7 +39,7 @@ def _two_mode_state(grid, info, a1=0.2, a2=0.1):
     c[-m % grid.n1, -n % grid.n2] = a1 / 2
     c[1, -1 % grid.n2] = a2 / 2
     c[-1 % grid.n1, 1] = a2 / 2
-    return SpectralField(grid, c)
+    return SpectralField(grid, fl.halve(c))
 
 
 def _mean_velocity(diag):
@@ -45,9 +47,9 @@ def _mean_velocity(diag):
 
 
 def test_rhs_zero_and_mean_guard(hex_grid):
-    z = SpectralField(hex_grid, np.zeros((hex_grid.n1, hex_grid.n2), dtype=complex))
+    z = SpectralField(hex_grid, np.zeros(hex_grid.spectral_shape, dtype=complex))
     assert np.max(np.abs(rhs(z).coeffs)) == 0.0
-    bad = SpectralField(hex_grid, np.zeros((hex_grid.n1, hex_grid.n2), dtype=complex))
+    bad = SpectralField(hex_grid, np.zeros(hex_grid.spectral_shape, dtype=complex))
     bad.coeffs[0, 0] = 1.0
     with pytest.raises(NonZeroMean):
         rhs(bad)
@@ -65,7 +67,7 @@ def test_rhs_plane_wave_steady(hex_grid):
     c = np.zeros((hex_grid.n1, hex_grid.n2), dtype=complex)
     c[5, -7 % hex_grid.n2] = 0.3
     c[-5 % hex_grid.n1, 7] = 0.3
-    r = rhs(SpectralField(hex_grid, c))
+    r = rhs(SpectralField(hex_grid, fl.halve(c)))
     assert np.max(np.abs(r.coeffs)) < 1e-15
 
 
@@ -233,7 +235,7 @@ _MEAN_ZERO_ENTRIES = {
 
 @pytest.mark.parametrize("entry", _MEAN_ZERO_ENTRIES.values(), ids=_MEAN_ZERO_ENTRIES.keys())
 def test_nan_zero_mode_is_not_mean_zero(hex_grid, entry):
-    c = np.zeros((hex_grid.n1, hex_grid.n2), dtype=complex)
+    c = np.zeros(hex_grid.spectral_shape, dtype=complex)
     c[0, 0] = math.nan
     with pytest.raises(NonZeroMean):
         entry(SpectralField(hex_grid, c))

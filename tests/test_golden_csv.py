@@ -25,10 +25,10 @@ from torus_euler import (
 RECORDED_WITH_NUMPY = "2.4.6"
 
 GOLDEN = {
-    ("hexagonal", 2.0): "c854be93fff834acc5c3f00cf5a0edc89c0ecabe4c6803ffa2751dc04e1fe1ef",
-    ("square", 4.0): "51e004ef3776739b82bd70d612969212aa6568b7d58f07ba34a7b64295bb1fd7",
-    ("hexagonal", 1.0): "7ad88528afbe91f37c496317917af28562efdacbefa057adc57f755c5150f4c0",
-    ("rectangular:3.0", 3.0): "7d28d6eaafee7445a1bf45b956286ef36759bb737613ae1f1d012544bf5a3f85",
+    ("hexagonal", 2.0): "0a26316c8377c5f73fa575ff27ea6ba8fa30063f19c1c01998983894221a5ee4",
+    ("square", 4.0): "0f0d3f614ea4fb8a4a2552c211c8de668f6c83f65ad7c021f363f4f01ffc2d5b",
+    ("hexagonal", 1.0): "3ab3d44409255141e9747cd00e96efc533f4a198a5f9edb34022ee9f20f1de34",
+    ("rectangular:3.0", 3.0): "3a8a39dcf9320a11b495e7f717311b4d9dfe8ae327584be35a90e1bf38b5ed0f",
 }
 
 

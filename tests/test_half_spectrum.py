@@ -3,12 +3,13 @@ symmetry checks on ``step``.
 
 ``_oracle_rhs``/``_oracle_step`` are the solver as it stood before the move
 to the rfft2 layout: every transform a full complex fft2/ifft2 on the FFT
-layout.  ``_scipy_rhs``/``_scipy_rk4`` are the half-spectrum solver before
+layout of ``full_layout``.  ``_scipy_rhs``/``_scipy_rk4`` are the half-spectrum solver before
 its preallocated kernel: 2-D ``scipy.fft`` transforms and fresh arrays for
 every product.  The kernel must reproduce the latter bit for bit.  Both are
 kept here only as references.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -35,12 +36,9 @@ from torus_euler import (
     synthesize_eigenstate,
 )
 from torus_euler.euler import _Kernel, _public_kernel
-from torus_euler.spectral import (
-    full_spectrum,
-    half_modes,
-    half_spectrum,
-    random_mean_zero_field,
-)
+from torus_euler.spectral import random_mean_zero_field
+
+import full_layout as fl
 
 
 def _oracle_rhs(c, table, mask):
@@ -58,7 +56,7 @@ def _oracle_rhs(c, table, mask):
 
 
 def _oracle_step(c, grid, dt, dealias="two_thirds"):
-    table = modes(grid)
+    table = fl.full_modes(grid)
     mask = table.dealias if dealias == "two_thirds" else None
     k1 = _oracle_rhs(c, table, mask)
     k2 = _oracle_rhs(c + 0.5 * dt * k1, table, mask)
@@ -69,16 +67,15 @@ def _oracle_step(c, grid, dt, dealias="two_thirds"):
     return out
 
 
-def _scipy_samples(c, table):
-    return irfft2(c, s=table.shape, norm="forward")
-
-
 def _scipy_rhs(c, table, mask):
+    def samples(a):
+        return irfft2(a, s=(c.shape[0], 2 * (c.shape[1] - 1)), norm="forward")
+
     psi = c * table.inv_lap
-    v1 = _scipy_samples(psi * table.dy, table)
-    v2 = _scipy_samples(psi * table.dx, table)
-    wx = _scipy_samples(c * table.dx, table)
-    wy = _scipy_samples(c * table.dy, table)
+    v1 = samples(psi * table.dy)
+    v2 = samples(psi * table.dx)
+    wx = samples(c * table.dx)
+    wy = samples(c * table.dy)
     v1 *= wx
     v2 *= wy
     v1 -= v2
@@ -135,24 +132,27 @@ def _rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
+def _full(F):
+    return fl.extend(F.coeffs, F.grid.n2)
+
+
 @pytest.mark.parametrize("dealias", ["two_thirds", "none"])
 def test_one_step_matches_full_complex_oracle(case, dealias):
     grid, F = case
     cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
-    got = step(SolverState(0.0, F), cfg).omega.coeffs
-    assert _rel(got, _oracle_step(F.coeffs, grid, 1e-2, dealias)) <= 1e-13
+    got = _full(step(SolverState(0.0, F), cfg).omega)
+    assert _rel(got, _oracle_step(_full(F), grid, 1e-2, dealias)) <= 1e-13
 
 
 @pytest.mark.parametrize("dealias", ["two_thirds", "none"])
 def test_one_step_is_bitwise_the_scipy_step(case, dealias):
     grid, F = case
-    table = half_modes(grid)
+    table = modes(grid)
     cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
-    want = half_spectrum(F)
+    want = F.coeffs.copy()
     _scipy_rk4(want, table, table.dealias if dealias == "two_thirds" else None,
                1e-2, np.empty_like(want))
-    assert np.array_equal(step(SolverState(0.0, F), cfg).omega.coeffs,
-                          full_spectrum(grid, want).coeffs)
+    assert np.array_equal(step(SolverState(0.0, F), cfg).omega.coeffs, want)
 
 
 @pytest.mark.parametrize("preset,n", [("hexagonal", 128), ("square", 64),
@@ -161,21 +161,21 @@ def test_run_is_bitwise_the_scipy_loop(preset, n):
     # at 48, no power of two, only a single 1/(n1 n2) forward factor gives these bits
     basis = preset_basis(preset)
     grid, F = _perturbed_state(basis, classify_eigenspace(basis), n)
-    table = half_modes(grid)
+    table = modes(grid)
     cfg = SolverConfig(grid, dt=1e-2, t_end=2.0, diag_stride=50, snapshot_times=(2.0,))
     (t, got), = run(cfg, F)[0]
-    want = half_spectrum(F) * table.dealias
+    want = F.coeffs * table.dealias
     stage = np.empty_like(want)
     for _ in range(200):
         _scipy_rk4(want, table, table.dealias, 1e-2, stage)
     assert t == 200 * 1e-2
-    assert np.array_equal(got.samples, _scipy_samples(want, table))
+    assert np.array_equal(got.samples, irfft2(want, s=(n, n), norm="forward"))
 
 
 def test_kernel_steps_allocate_nothing(hex_basis, hex_info):
     grid, F = _perturbed_state(hex_basis, hex_info, 128)
     kernel = _Kernel(grid, "two_thirds", masked_state=True)
-    c = half_spectrum(F) * kernel.mask
+    c = F.coeffs * kernel.mask
     kernel.step(c, 1e-2)  # warm-up: transform plans
     tracemalloc.start()
     try:
@@ -194,7 +194,7 @@ def test_kernel_steps_allocate_nothing(hex_basis, hex_info):
 def test_public_step_and_rhs_return_fresh_arrays(case, dealias):
     grid, F = case
     cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
-    want = half_spectrum(F)
+    want = F.coeffs.copy()
     fresh = _Kernel(grid, dealias, masked_state=False)
     want_rhs = fresh.rhs(want, np.zeros_like(want))
     fresh.step(want, 1e-2)
@@ -202,9 +202,9 @@ def test_public_step_and_rhs_return_fresh_arrays(case, dealias):
     kept = first.copy()
     second = step(SolverState(0.0, F), cfg).omega.coeffs
     r1, r2 = rhs(F, dealias).coeffs, rhs(F, dealias).coeffs
-    assert np.array_equal(first, full_spectrum(grid, want).coeffs)
+    assert np.array_equal(first, want)
     assert np.array_equal(second, first) and np.array_equal(first, kept)
-    assert np.array_equal(r1, full_spectrum(grid, want_rhs).coeffs)
+    assert np.array_equal(r1, want_rhs)
     assert np.array_equal(r2, r1)
     buffers = [b for b in vars(_public_kernel(grid, dealias)).values()
                if isinstance(b, np.ndarray)]
@@ -226,7 +226,7 @@ def test_a_second_public_step_builds_no_kernel(hex_basis, hex_info):
     finally:
         tracemalloc.stop()
     # A kernel's buffers take over 1.5 MiB at 128^2; the call itself copies
-    # the half spectrum in and extends it back to the full layout.
+    # the half spectrum once.
     assert peak - base < 1.5 * 2**20
 
 
@@ -238,7 +238,7 @@ def test_step_is_exactly_time_reversible(preset, n):
     basis = preset_basis(preset)
     grid, F = _perturbed_state(basis, classify_eigenspace(basis), n)
     kernel = _Kernel(grid, "two_thirds", masked_state=True)
-    forward = half_spectrum(F) * kernel.mask
+    forward = F.coeffs * kernel.mask
     backward = -forward
     for _ in range(50):
         kernel.step(forward, 1e-2)
@@ -248,18 +248,18 @@ def test_step_is_exactly_time_reversible(preset, n):
 
 def test_rhs_matches_full_complex_oracle(case):
     grid, F = case
-    table = modes(grid)
-    assert _rel(rhs(F).coeffs, _oracle_rhs(F.coeffs, table, table.dealias)) <= 1e-13
+    table = fl.full_modes(grid)
+    assert _rel(_full(rhs(F)), _oracle_rhs(_full(F), table, table.dealias)) <= 1e-13
 
 
 def test_200_steps_match_full_complex_oracle(case):
     grid, F = case
     cfg = SolverConfig(grid, dt=1e-2, t_end=2.0)
-    state, want = SolverState(0.0, F), F.coeffs
+    state, want = SolverState(0.0, F), _full(F)
     for _ in range(200):
         state = step(state, cfg)
         want = _oracle_step(want, grid, 1e-2)
-    assert _rel(state.omega.coeffs, want) <= 1e-10
+    assert _rel(_full(state.omega), want) <= 1e-10
 
 
 def _shift(F, s1, s2):
@@ -270,10 +270,18 @@ def _shift(F, s1, s2):
 
 
 def _reflect(F):
-    """Coefficients of omega(-x): mode k goes to mode -k."""
-    i1 = (-np.arange(F.grid.n1)) % F.grid.n1
-    i2 = (-np.arange(F.grid.n2)) % F.grid.n2
-    return SpectralField(F.grid, F.coeffs[i1][:, i2])
+    """Coefficients of omega(-x): mode k goes to mode -k, whose coefficient
+    is the conjugate of k's."""
+    return SpectralField(F.grid, F.coeffs.conj())
+
+
+def _on_full_layout(move):
+    """``move`` on the full layout, for maps that mix the half spectrum's columns."""
+    @functools.wraps(move)
+    def moved(F):
+        return SpectralField(F.grid, fl.halve(move(_full(F))))
+
+    return moved
 
 
 @pytest.mark.parametrize("s1,s2", [(1, 0), (0, 1), (3, 5), (32, 17)])
@@ -293,24 +301,25 @@ def test_step_commutes_with_point_reflection(case):
     assert _rel(reflected_then_stepped, stepped_then_reflected) <= 1e-13
 
 
-def _swap_generators(F):
+@_on_full_layout
+def _swap_generators(c):
     """Coefficients of -omega(S^-1 x), S the reflection swapping xi and eta:
     mode (m, n) goes to (n, m), and the orientation flip negates omega."""
-    return SpectralField(F.grid, -F.coeffs.T)
+    return -c.T
 
 
-def _quarter_turn(F):
+@_on_full_layout
+def _quarter_turn(c):
     """Coefficients of omega(R^-1 x), R the rotation taking xi to eta and eta
     to -xi: mode (m, n) goes to (-n, m)."""
-    i = (-np.arange(F.grid.n1)) % F.grid.n1
-    return SpectralField(F.grid, F.coeffs.T[i])
+    return c.T[(-np.arange(c.shape[0])) % c.shape[0]]
 
 
-def _flip_first_generator(F):
+@_on_full_layout
+def _flip_first_generator(c):
     """Coefficients of -omega(x') with xi' = -xi, an orientation-reversing
     isometry of the square lattice: mode (m, n) goes to (-m, n)."""
-    i = (-np.arange(F.grid.n1)) % F.grid.n1
-    return SpectralField(F.grid, -F.coeffs[i])
+    return -c[(-np.arange(c.shape[0])) % c.shape[0]]
 
 
 @pytest.mark.parametrize("preset,move", [
@@ -333,8 +342,7 @@ def test_orientation_reversing_maps_need_the_sign(hex_basis, hex_info):
     grid, F = _perturbed_state(hex_basis, hex_info)
     cfg = SolverConfig(grid, dt=5e-2, t_end=1.0)
 
-    def swap(G):
-        return SpectralField(G.grid, G.coeffs.T)
+    swap = _on_full_layout(lambda c: c.T)
 
     moved_then_stepped = step(SolverState(0.0, swap(F)), cfg).omega.coeffs
     stepped_then_moved = swap(step(SolverState(0.0, F), cfg).omega).coeffs
@@ -343,21 +351,24 @@ def test_orientation_reversing_maps_need_the_sign(hex_basis, hex_info):
 
 def test_half_tables_are_slices_of_the_full_table(case):
     grid, _ = case
-    full, half = modes(grid), half_modes(grid)
-    width = grid.n2 // 2 + 1
-    assert half.shape == (grid.n1, grid.n2)
-    for name in ("inv_lap", "dx", "dy", "dealias"):
+    full, half = fl.full_modes(grid), modes(grid)
+    for name in ("m", "n", "ksq", "inv_lap", "dx", "dy", "dealias"):
         a = getattr(half, name)
+        assert a.shape == grid.spectral_shape
         assert a.flags.c_contiguous and not a.flags.writeable
-        assert np.array_equal(a, getattr(full, name)[:, :width])
-    assert half_modes(grid) is half
+        assert np.array_equal(a, fl.halve(getattr(full, name)))
+    assert np.array_equal(half.weight[:, [0, -1]], np.ones((grid.n1, 2)))
+    assert np.all(half.weight[:, 1:-1] == 2.0) and not half.weight.flags.writeable
+    assert modes(grid) is half
 
 
 def test_hermitian_extension_round_trip(case):
+    # the full-layout oracle reads analyze's half spectrum as the fft2 layout
     grid, F = case
-    back = full_spectrum(grid, half_spectrum(F))
-    back.validate()
-    assert np.max(np.abs(back.coeffs - F.coeffs)) <= 1e-15 * np.max(np.abs(F.coeffs))
+    full = fl.analyze(synthesize(F).samples)
+    assert fl.is_hermitian(full)
+    assert np.max(np.abs(_full(F) - full)) <= 1e-15 * np.max(np.abs(full))
+    assert np.array_equal(fl.halve(_full(F)), F.coeffs)
 
 
 def test_diagnostics_accept_coefficients(case):

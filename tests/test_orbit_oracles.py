@@ -1,11 +1,12 @@
 """The orbit distances against the searches they replaced.
 
-``_oracle_l2`` is the six-dimensional L2 distance as it stood with a
-Nelder-Mead pass between the 64x64 phase grid and the Newton polish;
-``_oracle_lp`` is the L^p distance as it stood before the search started
-from the L2 minimizer: a 32x32 scan of the cell, then Nelder-Mead from its
-best point, with one full-grid objective call per scan point and per simplex
-vertex.  They are kept here only as references.  scipy's Nelder-Mead is
+``full_layout.orbit_distance_l2`` is the L2 distance on the full FFT layout,
+in six dimensions as it stood with a Nelder-Mead pass between the 64x64
+phase grid and the Newton polish; ``_oracle_lp`` is the L^p distance as it
+stood before the search started from the L2 minimizer: a 32x32 scan of the
+cell, then Nelder-Mead from its best point, with one full-grid objective
+call per scan point and per simplex vertex.  They are kept only as
+references.  scipy's Nelder-Mead is
 also the oracle of ``eigenstate.minimize``, the package's own port of it.
 """
 
@@ -24,7 +25,6 @@ from torus_euler import (
     Grid,
     RealField,
     SpectralField,
-    analyze,
     classify_eigenspace,
     lp_norm,
     orbit_distance,
@@ -37,69 +37,13 @@ from torus_euler import eigenstate
 from torus_euler.eigenstate import (
     _cell_coords,
     _LpObjective,
-    _mode_indices,
-    _wrap_to_cell,
     circ_dist,
 )
 from torus_euler.euler import band_limited_perturbation
 
+import full_layout as fl
+
 TAU = 2.0 * math.pi
-
-
-def _oracle_l2(F, c):
-    grid = F.grid
-    idx = _mode_indices(c.info, grid)
-    power = np.abs(F.coeffs) ** 2
-    for i1, i2 in idx:
-        power[i1, i2] = 0.0
-        power[-i1 % grid.n1, -i2 % grid.n2] = 0.0
-    residual_power = float(np.sum(power))
-    amps = np.array(c.amps)
-    raw = np.array([F.coeffs[i1, i2] for i1, i2 in idx])
-    z = raw * np.exp(-1j * np.array(c.phases))
-    beta = np.angle(z)
-    w = amps * np.abs(z)
-
-    def gain(t1, t2):
-        return (w[0] * np.cos(beta[0] + t1) + w[1] * np.cos(beta[1] + t2)
-                + w[2] * np.cos(beta[2] + t1 + t2))
-
-    nc = 64
-    tt = np.arange(nc) * TAU / nc
-    t1g, t2g = np.meshgrid(tt, tt, indexing="ij")
-    coarse = gain(t1g, t2g)
-    best = np.argmax(coarse)
-    t0 = np.array([t1g.ravel()[best], t2g.ravel()[best]])
-    res = minimize(lambda t: -gain(t[0], t[1]), t0, method="Nelder-Mead",
-                   options={"maxiter": 200, "xatol": 1e-12, "fatol": 1e-14})
-    tbest = np.array(res.x) if -res.fun >= coarse.ravel()[best] else t0
-    gbest = gain(tbest[0], tbest[1])
-    for _ in range(6):
-        s0 = w[0] * math.sin(beta[0] + tbest[0])
-        s1 = w[1] * math.sin(beta[1] + tbest[1])
-        s2 = w[2] * math.sin(beta[2] + tbest[0] + tbest[1])
-        c0 = w[0] * math.cos(beta[0] + tbest[0])
-        c1 = w[1] * math.cos(beta[1] + tbest[1])
-        c2 = w[2] * math.cos(beta[2] + tbest[0] + tbest[1])
-        grad = np.array([-s0 - s2, -s1 - s2])
-        hess = np.array([[-c0 - c2, -c2], [-c2, -c1 - c2]])
-        det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-        if abs(det) < 1e-12 * (np.sum(w) ** 2 + 1e-300):
-            break
-        trial = tbest - np.linalg.solve(hess, grad)
-        gtrial = gain(trial[0], trial[1])
-        if not (gtrial >= gbest - 1e-12 * (np.sum(w) + 1.0)):
-            break
-        if np.max(np.abs(trial - tbest)) < 1e-15:
-            tbest, gbest = trial, gtrial
-            break
-        tbest, gbest = trial, gtrial
-    t_opt = np.array([tbest[0], tbest[1], tbest[0] + tbest[1]])
-    target = 0.5 * amps * np.exp(1j * (np.array(c.phases) - t_opt))
-    dist_sq = grid.area * (residual_power + 2.0 * float(np.sum(np.abs(raw - target) ** 2)))
-    kmat = np.array([c.info.k[0], c.info.k[1]], dtype=float)
-    p = np.linalg.solve(kmat, t_opt[:2] / TAU)
-    return math.sqrt(dist_sq), _wrap_to_cell(p, c.info), tbest
 
 
 def _oracle_lp(f, c, p_norm):
@@ -157,7 +101,7 @@ def _weights(rng, kind):
 @pytest.mark.parametrize("kind", ["random", "tiny", "sum", "flat"])
 def test_l2_without_simplex_matches_oracle(hex_basis, hex_info, kind):
     grid = Grid(hex_basis, 32, 32)
-    idx = _mode_indices(hex_info, grid)
+    idx = fl.mode_indices(hex_info, grid)
     rng = np.random.default_rng(["random", "tiny", "sum", "flat"].index(kind))
     for _ in range(150):
         c = EigenstateCoeffs(hex_info, tuple(rng.uniform(0.2, 2.0, 3)),
@@ -168,9 +112,9 @@ def test_l2_without_simplex_matches_oracle(hex_basis, hex_info, kind):
         for (i1, i2), a, al, wi, bi in zip(idx, c.amps, c.phases, w, beta):
             coeffs[i1, i2] = (wi / a) * complex(math.cos(bi + al), math.sin(bi + al))
             coeffs[-i1, -i2] = coeffs[i1, i2].conjugate()
-        F = SpectralField(grid, coeffs)
+        F = SpectralField(grid, fl.halve(coeffs))
         d, p = orbit_distance(F, c, 2.0)
-        d_ref, p_ref, (t1, t2) = _oracle_l2(F, c)
+        d_ref, p_ref, (t1, t2, _) = fl.orbit_distance_l2(grid, coeffs, c)
         assert abs(d - d_ref) <= 1e-12 * d_ref
         # the maximizer is unique where the gain's Hessian at it is regular
         c0, c1 = w[0] * math.cos(beta[0] + t1), w[1] * math.cos(beta[1] + t2)
@@ -187,7 +131,7 @@ def test_l2_on_the_corner_of_the_merged_amplitude(hex_info, hex_grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d, _ = orbit_distance(f, c, 2.0)
-    d_ref, _, _ = _oracle_l2(analyze(f), c)
+    d_ref, _, _ = fl.orbit_distance_l2(hex_grid, fl.analyze(f.samples), c)
     assert abs(d - d_ref) <= 1e-12 * d_ref
 
 

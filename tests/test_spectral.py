@@ -28,6 +28,8 @@ from torus_euler import (
 )
 from torus_euler.spectral import int_power, random_mean_zero_field
 
+import full_layout as fl
+
 
 def _unit_mode_field(grid, info, i=0):
     c = [0.0] * info.npairs
@@ -38,12 +40,12 @@ def _unit_mode_field(grid, info, i=0):
 
 def test_single_mode_coefficients(hex_grid, hex_info):
     w = _unit_mode_field(hex_grid, hex_info)
-    F = analyze(w)
+    F = fl.extend(analyze(w).coeffs, hex_grid.n2)
     m, n = hex_info.k_coords[0]
     n1, n2 = hex_grid.n1, hex_grid.n2
-    assert abs(F.coeffs[m % n1, n % n2] - 0.5) < 1e-13
-    assert abs(F.coeffs[-m % n1, -n % n2] - 0.5) < 1e-13
-    others = F.coeffs.copy()
+    assert abs(F[m % n1, n % n2] - 0.5) < 1e-13
+    assert abs(F[-m % n1, -n % n2] - 0.5) < 1e-13
+    others = F.copy()
     others[m % n1, n % n2] = 0
     others[-m % n1, -n % n2] = 0
     assert np.max(np.abs(others)) < 1e-14
@@ -63,7 +65,7 @@ def test_round_trip_and_parseval(hex_grid, rng):
     back = synthesize(F)
     assert np.max(np.abs(back.samples - f.samples)) < 1e-12 * np.max(np.abs(f.samples))
     quad = float((f.samples**2).mean()) * hex_grid.area
-    spec = float(np.sum(np.abs(F.coeffs) ** 2)) * hex_grid.area
+    spec = float(np.sum(modes(hex_grid).weight * np.abs(F.coeffs) ** 2)) * hex_grid.area
     assert abs(quad - spec) < 1e-10 * quad
 
 
@@ -73,6 +75,8 @@ def test_shape_mismatch(square_basis):
         analyze(RealField(grid, np.zeros((16, 32))))
     with pytest.raises(ShapeMismatch):
         synthesize(SpectralField(grid, np.zeros((32, 16), dtype=complex)))
+    with pytest.raises(ShapeMismatch):
+        synthesize(SpectralField(grid, np.zeros((32, 32), dtype=complex)))
 
 
 def test_hermitian_and_mean_invariants(hex_grid, rng):
@@ -88,12 +92,36 @@ def test_hermitian_and_mean_invariants(hex_grid, rng):
     ("one", complex(0.0, math.nan)),
 ])
 def test_validate_rejects_non_finite_coefficients_off_the_zero_mode(square_basis, where, value):
-    c = np.zeros((16, 16), dtype=complex)
-    c[1, 1] = value
+    # "one" sits in an interior column, whose mirror is implicit; "pair" is a
+    # mode and its negative in column 0
+    c = np.zeros((16, 9), dtype=complex)
     if where == "pair":
-        c[-1, -1] = np.conj(c[1, 1])
+        c[1, 0] = value
+        c[-1, 0] = np.conj(c[1, 0])
+    else:
+        c[1, 1] = value
     with pytest.raises(ValueError, match="non-finite coefficients"):
         SpectralField(Grid(square_basis, 16, 16), c).validate()
+
+
+@pytest.mark.parametrize("case", ["full-layout", "column-0", "column-n2/2", "interior"])
+def test_validate_checks_the_half_layout(square_basis, case):
+    # Columns 0 and n2/2 hold mode (m, n) and its negative (-m, -n) = (-m, n)
+    # mod n2, which must be conjugates; an interior column's mirror is implicit.
+    grid = Grid(square_basis, 16, 16)
+    c = np.zeros((16, 16 if case == "full-layout" else 9), dtype=complex)
+    col = {"column-0": 0, "column-n2/2": 8, "interior": 3}.get(case, 1)
+    c[2, col] = 0.3 + 0.4j
+    c[-2, col] = 0.3 - 0.4j if case == "interior" else 0.3 + 0.4j
+    F = SpectralField(grid, c)
+    if case == "full-layout":
+        with pytest.raises(ShapeMismatch):
+            F.validate()
+    elif case == "interior":
+        F.validate()
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            F.validate()
 
 
 def test_green_single_mode_and_compose(hex_grid, hex_info):
@@ -101,16 +129,17 @@ def test_green_single_mode_and_compose(hex_grid, hex_info):
     F = analyze(w)
     G = green_apply(F)
     m, n = hex_info.k_coords[0]
-    ratio = G.coeffs[m % hex_grid.n1, n % hex_grid.n2] / F.coeffs[m % hex_grid.n1, n % hex_grid.n2]
+    assert n >= 0  # so the mode itself is in the half spectrum
+    ratio = G.coeffs[m % hex_grid.n1, n] / F.coeffs[m % hex_grid.n1, n]
     assert abs(ratio - 1.0 / hex_info.lambda1) < 1e-12
     recomposed = laplacian_apply(G)
     assert np.max(np.abs(recomposed.coeffs - F.coeffs)) < 1e-10
 
 
 def test_green_zero_and_mean_guard(hex_grid):
-    z = SpectralField(hex_grid, np.zeros((hex_grid.n1, hex_grid.n2), dtype=complex))
+    z = SpectralField(hex_grid, np.zeros(hex_grid.spectral_shape, dtype=complex))
     assert np.max(np.abs(green_apply(z).coeffs)) == 0.0
-    bad = SpectralField(hex_grid, np.zeros((hex_grid.n1, hex_grid.n2), dtype=complex))
+    bad = SpectralField(hex_grid, np.zeros(hex_grid.spectral_shape, dtype=complex))
     bad.coeffs[0, 0] = 1e-6
     with pytest.raises(NonZeroMean):
         green_apply(bad)
@@ -145,7 +174,7 @@ def test_velocity_analytic_oracle(hex_grid, hex_info):
 
 
 def test_velocity_zero_and_mean(hex_grid, hex_info, rng):
-    z = SpectralField(hex_grid, np.zeros((hex_grid.n1, hex_grid.n2), dtype=complex))
+    z = SpectralField(hex_grid, np.zeros(hex_grid.spectral_shape, dtype=complex))
     v1, v2 = velocity_from_vorticity(z)
     assert np.max(np.abs(v1.samples)) == 0.0 and np.max(np.abs(v2.samples)) == 0.0
     f = random_mean_zero_field(hex_grid, rng, kmax=3 * hex_info.rho)
@@ -196,10 +225,9 @@ def test_gap_eigenspace_and_second_shell(hex_grid, hex_info, rng):
 
     # an exact second-shell mode: gap = (1/lam1 - 1/lam2) * enstrophy
     t = modes(hex_grid)
-    c = np.zeros((hex_grid.n1, hex_grid.n2), dtype=complex)
-    c[1, -1 % hex_grid.n2] = 0.5
-    c[-1 % hex_grid.n1, 1] = 0.5
-    lam2 = 4 * math.pi**2 * t.ksq[1, -1 % hex_grid.n2]
+    c = np.zeros(hex_grid.spectral_shape, dtype=complex)
+    c[-1, 1] = 0.5  # modes (-1, 1) and (1, -1)
+    lam2 = 4 * math.pi**2 * t.ksq[-1, 1]
     F = SpectralField(hex_grid, c)
     want = (1 / hex_info.lambda1 - 1 / lam2) * enstrophy(F)
     assert abs(energy_enstrophy_gap(F) - want) < 1e-12
