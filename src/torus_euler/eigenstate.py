@@ -512,14 +512,17 @@ def minimize(fun: Callable[[np.ndarray], float], x0) -> _Minimum:
     return _Minimum(sim[0], float(np.min(fsim)), nfev)
 
 
-def _orbit_distance_lp(f: RealField, c: EigenstateCoeffs,
+def _orbit_distance_lp(f: RealField, F: SpectralField, c: EigenstateCoeffs,
                        p_norm: float) -> tuple[float, np.ndarray]:
-    """Translation-minimized L^p distance on samples, searched from the exact
-    L2 minimizer: safeguarded Newton for p > 1, and for p = 1, where the
-    Hessian vanishes almost everywhere, the in-package Nelder-Mead
-    ``minimize`` on the objective divided by its value at the seed."""
+    """Translation-minimized L^p distance on the samples f, searched from the
+    exact L2 minimizer on the same field's coefficients F: safeguarded Newton
+    for p > 1, and for p = 1, where the Hessian vanishes almost everywhere,
+    the in-package Nelder-Mead ``minimize`` on the objective divided by its
+    value at the seed."""
+    if not 1.0 <= p_norm < math.inf:
+        raise BadExponent(f"p_norm must be finite and >= 1, got {p_norm}")
     obj = _LpObjective(f, c, p_norm)
-    st = np.array(_cell_coords(_orbit_distance_l2(_as_spectral(f), c)[1], c.info))
+    st = np.array(_cell_coords(_orbit_distance_l2(F, c)[1], c.info))
     if p_norm > 1:
         st, val = _lp_newton(obj, st)
     else:
@@ -540,14 +543,12 @@ def orbit_distance(f: RealField | SpectralField, c: EigenstateCoeffs,
     p_norm = 2 uses the exact spectral form on f's coefficients.  Other
     finite exponents start from the L2 minimizer and descend on f's samples:
     Newton for p > 1, and for p = 1 a Nelder-Mead search whose iterates are
-    bit for bit those of scipy's (scipy itself is not needed).  Passing f in
-    the form its exponent uses saves a transform.
+    bit for bit those of scipy's (scipy itself is not needed).  For p = 2,
+    passing f's coefficients saves a transform.
     """
-    if not 1.0 <= p_norm < math.inf:
-        raise BadExponent(f"p_norm must be finite and >= 1, got {p_norm}")
     if p_norm == 2:
         return _orbit_distance_l2(_as_spectral(f), c)
-    return _orbit_distance_lp(_as_real(f), c, p_norm)
+    return _orbit_distance_lp(_as_real(f), _as_spectral(f), c, p_norm)
 
 
 @lru_cache(maxsize=64)

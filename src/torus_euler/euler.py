@@ -1,15 +1,20 @@
 """Pseudo-spectral time integration of 2D incompressible vorticity transport.
 
 The vorticity is advanced in mode space with classical fixed-step RK4; the
-advection term is evaluated pointwise in sample space and truncated with
-the two-thirds rule, which removes all aliasing from the quadratic
-nonlinearity.  The vorticity is real, so the solver keeps only the rfft2
-half spectrum (columns 0..n2/2), the layout of every SpectralField.  Its
-transforms are 1-D ``numpy.fft`` calls written into buffers that a
-``_Kernel`` allocates once per run: ``ifft`` over axis 0 then ``irfft`` over
-axis 1, and back with ``rfft`` over axis 1 then ``fft`` over axis 0.  The
-axis-0 transforms skip the half-spectrum columns that the two-thirds rule
-keeps at zero.  Diagnostics track the conserved quantities (energy,
+advection term is evaluated from pointwise products in sample space and
+truncated with the two-thirds rule, which removes all aliasing from the
+quadratic nonlinearity.  ``run``, whose state is masked by that rule, uses
+the quadratic form -(dxx - dyy)(uv) - dxdy(v^2 - u^2) of the term
+(Basdevant 1983), with two inverse and two forward transforms; the public
+``rhs`` and ``step`` use the advective form -(u . grad omega), with four
+inverse and one forward.  The vorticity is real, so the solver keeps only
+the rfft2 half spectrum (columns 0..n2/2), the layout of every
+SpectralField.  Its transforms are 1-D ``numpy.fft`` calls written into
+buffers that a ``_Kernel`` allocates once per run: ``ifft`` over the rows
+then ``irfft`` over the columns, and back with ``rfft`` then ``fft``, the
+quadratic form's pairs each as one call on two stacked arrays.  The row
+transforms skip the half-spectrum columns that the two-thirds rule keeps
+at zero.  Diagnostics track the conserved quantities (energy,
 enstrophy, higher Casimirs) and, when a target eigenstate is given, the
 distance to its translation orbit.  ``stability_ensemble`` runs ``stability_experiment`` over
 epsilon/seed pairs on a pool of at most ``TORUS_EULER_THREADS`` processes
@@ -29,6 +34,7 @@ import numpy as np
 from .errors import NumericalBlowup
 from .eigenstate import (
     EigenstateCoeffs,
+    _orbit_distance_lp,
     _theta,
     orbit_distance,
     project_to_e1,
@@ -38,8 +44,8 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
+    _as_spectral,
     _require_mean_zero,
-    analyze,
     casimir,
     energy,
     enstrophy,
@@ -178,12 +184,14 @@ class _Kernel:
 
     Under the two-thirds rule only the first ``fwd`` = (n2 - 1)//3 + 1
     half-spectrum columns of a tendency can be nonzero, so the forward column
-    transform runs on those alone.  With ``masked_state`` (``run``, whose
-    state is masked like every tendency) the state's columns past ``fwd``
-    stay zero too, and the inverse column transforms skip them as well;
-    otherwise they use the full half width.  Pointwise products and stage
-    updates run on whole arrays, which numpy does faster than on the
-    strided leading columns.
+    transform runs on those alone, and the rule itself zeroes the band of
+    rows with |m| > (n1 - 1)//3.  With ``masked_state`` (``run``, whose state
+    is masked like every tendency) the state's columns past ``fwd`` stay zero
+    too, so the inverse column transforms skip them as well (``width``), and
+    the right-hand side takes its quadratic form: exact on masked states,
+    four transforms instead of five.  Otherwise it keeps the advective form.
+    Pointwise products and stage updates run on whole arrays, which numpy
+    does faster than on the strided leading columns.
     """
 
     def __init__(self, grid: Grid, dealias: str, masked_state: bool):
@@ -192,34 +200,48 @@ class _Kernel:
         self.n2, half = n2, n2 // 2 + 1
         if dealias == "two_thirds":
             self.fwd = (n2 - 1) // 3 + 1
-            # numpy casts a bool or float multiplier to complex for every
-            # product; stored complex, it gives the same bits with no buffer
-            self.mask = table.dealias.astype(complex)
+            self.band = slice((n1 - 1) // 3 + 1, n1 - (n1 - 1) // 3)
+            self.mask = table.dealias
         else:
-            self.fwd, self.mask = half, None
-        self.width = self.fwd if masked_state else half
-        self.inv_lap = table.inv_lap.astype(complex)
-        self.psi, self.prod = np.empty((2, n1, half), dtype=complex)
-        self.cols = np.zeros((n1, half), dtype=complex)  # zero past ``width``
-        self.rows = np.empty((n1, half), dtype=complex)
-        self.v1, self.v2, self.w = np.empty((3, n1, n2))
-        # tendencies are written only up to ``fwd``; the rest stays zero
-        self.acc, self.k, self.stage = np.zeros((3, n1, half), dtype=complex)
+            self.fwd, self.band, self.mask = half, slice(0), None
+        self.quadratic = masked_state and self.mask is not None
+        self.width = self.fwd if self.quadratic else half
         # One factor 1/(n1 n2) on the row transforms, as a 2-D transform
         # normalised "forward" applies it: 1/n2 and then 1/n1 would round
         # differently where n1 or n2 is not a power of two.
-        self.scale = 1.0 / (n1 * n2)
+        scale = 1.0 / (n1 * n2)
+        # column-transform buffers, zero past ``width``; ``samples`` uses the first
+        self.cols = np.zeros((2 if self.quadratic else 1, n1, half), dtype=complex)
+        if self.quadratic:
+            dx, dy, inv_lap = table.dx, table.dy, table.inv_lap
+            # the velocity (psi_y, -psi_x), and the tendency's factors
+            # -(dxx - dyy) on uv and -dxdy on v^2 - u^2, with the scale
+            self.vel = np.stack([inv_lap * dy, -(inv_lap * dx)])
+            self.comb = np.stack([-scale * (dx * dx - dy * dy), -scale * (dx * dy)])
+            self.hat = np.empty((2, n1, half), dtype=complex)
+            self.uv, self.quad = np.empty((2, 2, n1, n2))
+        else:
+            self.scale = scale
+            self.inv_lap = table.inv_lap.astype(complex)
+            self.psi, self.prod, self.rows = np.empty((3, n1, half), dtype=complex)
+            self.v1, self.v2, self.w = np.empty((3, n1, n2))
+        # tendencies are written only up to ``fwd``; the rest stays zero
+        self.acc, self.k, self.stage = np.zeros((3, n1, half), dtype=complex)
 
     def samples(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid samples of half-spectrum coefficients normalised as by
-        ``analyze``; reads the first ``width`` columns of ``c`` only."""
-        np.fft.ifft(c[:, :self.width], axis=0, norm="forward",
-                    out=self.cols[:, :self.width])
-        return np.fft.irfft(self.cols, n=self.n2, axis=1, norm="forward", out=out)
+        ``analyze``, or of a pair of them stacked; reads the first ``width``
+        columns of ``c`` only."""
+        cols = self.cols if c.ndim == 3 else self.cols[0]
+        np.fft.ifft(c[..., :self.width], axis=-2, norm="forward",
+                    out=cols[..., :self.width])
+        return np.fft.irfft(cols, n=self.n2, axis=-1, norm="forward", out=out)
 
     def velocity(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Samples of d2 psi and d1 psi, in the ``v1`` and ``v2`` buffers;
-        the velocity is (d2 psi, -d1 psi)."""
+        """Samples of the velocity (d2 psi, -d1 psi), with the quadratic form
+        (in ``uv``); else samples of d2 psi and d1 psi (in ``v1``, ``v2``)."""
+        if self.quadratic:
+            return self.samples(np.multiply(c, self.vel, out=self.hat), self.uv)
         np.multiply(c, self.inv_lap, out=self.psi)
         self.samples(np.multiply(self.psi, self.table.dy, out=self.prod), self.v1)
         self.samples(np.multiply(self.psi, self.table.dx, out=self.prod), self.v2)
@@ -230,21 +252,36 @@ class _Kernel:
         ``c``, written into the first ``fwd`` columns of ``out``, whose other
         columns must be zero.
 
-        Five real transforms: four inverse ones to samples of the velocity and
-        the vorticity gradient, one forward one of their pointwise product.
+        The quadratic form (Basdevant 1983) is
+        -(dxx - dyy)(uv) - dxdy(v^2 - u^2) with (u, v) the velocity: two
+        inverse and two forward real transforms, each pair one batched call,
+        exact where c is two-thirds masked.  The advective form takes five:
+        four inverse ones to samples of the velocity and the vorticity
+        gradient, one forward one of their pointwise product.
         """
-        v1, v2 = self.velocity(c)
-        self.samples(np.multiply(c, self.table.dx, out=self.prod), self.w)
-        v1 *= self.w
-        self.samples(np.multiply(c, self.table.dy, out=self.prod), self.w)
-        v2 *= self.w
-        v2 -= v1  # exactly -(v1 wx - v2 wy): the tendency's sign comes free
-        np.fft.rfft(v2, axis=1, out=self.rows)
-        rows_re = self.rows.view(float)
-        rows_re *= self.scale
-        np.fft.fft(self.rows[:, :self.fwd], axis=0, out=out[:, :self.fwd])
-        if self.mask is not None:
-            out *= self.mask
+        if self.quadratic:
+            u, v = self.velocity(c)
+            p, q = self.quad
+            np.multiply(u, v, out=p)
+            np.subtract(v, u, out=q)
+            v += u
+            q *= v  # (v - u)(v + u)
+            np.fft.rfft(self.quad, axis=-1, out=self.hat)
+            np.fft.fft(self.hat[..., :self.fwd], axis=-2, out=self.cols[..., :self.fwd])
+            self.cols *= self.comb
+            np.add(*self.cols, out=out)
+        else:
+            v1, v2 = self.velocity(c)
+            self.samples(np.multiply(c, self.table.dx, out=self.prod), self.w)
+            v1 *= self.w
+            self.samples(np.multiply(c, self.table.dy, out=self.prod), self.w)
+            v2 *= self.w
+            v2 -= v1  # exactly -(v1 wx - v2 wy): the tendency's sign comes free
+            np.fft.rfft(v2, axis=1, out=self.rows)
+            rows_re = self.rows.view(float)
+            rows_re *= self.scale
+            np.fft.fft(self.rows[:, :self.fwd], axis=0, out=out[:, :self.fwd])
+        out[self.band] = 0.0
         out[0, 0] = 0.0
         return out
 
@@ -273,7 +310,7 @@ class _Kernel:
         c[0, 0] = 0.0
 
 
-# An entry holds about 12 half-spectrum arrays, 1.5 MiB at 128^2.
+# An entry holds about 11 half-spectrum arrays, 1.4 MiB at 128^2.
 @lru_cache(maxsize=4)
 def _public_kernel(grid: Grid, dealias: str) -> _Kernel:
     """The unmasked-state kernel of ``rhs`` and ``step``, kept per (grid,
@@ -284,9 +321,10 @@ def _public_kernel(grid: Grid, dealias: str) -> _Kernel:
 
 def rhs(omega: SpectralField, dealias: str = "two_thirds") -> SpectralField:
     """Instantaneous vorticity tendency of the Euler flow."""
-    _require_mean_zero(omega)
-    out = np.zeros(omega.grid.spectral_shape, dtype=complex)
-    return SpectralField(omega.grid, _public_kernel(omega.grid, dealias).rhs(omega.coeffs, out))
+    F = _as_spectral(omega)
+    _require_mean_zero(F)
+    out = np.zeros(F.grid.spectral_shape, dtype=complex)
+    return SpectralField(F.grid, _public_kernel(F.grid, dealias).rhs(F.coeffs, out))
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
@@ -308,11 +346,13 @@ def _diag_row(t, c, w, grid, target, p_norm):
     derivative of the periodic stream function."""
     F = SpectralField(grid, c)
     f = RealField(grid, w)
-    if target is not None:
-        # the L2 distance works on coefficients, the Lp scan on samples
-        dist, pstar = orbit_distance(F if p_norm == 2 else f, target, p_norm)
-    else:
+    if target is None:
         dist, pstar = math.nan, (math.nan, math.nan)
+    elif p_norm == 2:
+        dist, pstar = orbit_distance(F, target)
+    else:
+        # the Lp search runs on samples, from the L2 seed on coefficients
+        dist, pstar = _orbit_distance_lp(f, F, target, p_norm)
     proj, resid = project_to_e1(F)
     theta = _theta(proj) if proj.info.dim == 6 and min(proj.amps) > 0 else math.nan
     return (t, energy(F), enstrophy(F), *(casimir(f, m) for m in (3, 4, 5, 6)),
@@ -329,7 +369,7 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     diagnostics collected so far, if max |omega| grows by 1e6.
     """
     grid = config.grid
-    F0 = analyze(omega0) if isinstance(omega0, RealField) else omega0
+    F0 = _as_spectral(omega0)
     _require_mean_zero(F0)
     kernel = _Kernel(grid, config.dealias, masked_state=True)
     c = F0.coeffs.copy()

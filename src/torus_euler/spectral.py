@@ -203,7 +203,13 @@ def _require_mean_zero(F: SpectralField):
 
 
 def _as_spectral(field) -> SpectralField:
-    return field if isinstance(field, SpectralField) else analyze(field)
+    """The coefficients of a field given as samples or as coefficients; raises
+    ShapeMismatch on coefficients in any layout but the half spectrum."""
+    if not isinstance(field, SpectralField):
+        return analyze(field)
+    if field.coeffs.shape != field.grid.spectral_shape:
+        raise ShapeMismatch(f"coeffs {field.coeffs.shape} vs {field.grid.spectral_shape}")
+    return field
 
 
 def _as_real(field) -> RealField:

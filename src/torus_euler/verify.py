@@ -498,6 +498,21 @@ def check_time_reversal(n_steps: int = 50, resolution: int = 64,
     return CheckResult("time-reversal", True, f"{n_steps} steps at {resolution}^2, bitwise")
 
 
+def check_rhs_forms(resolution: int = 64, seed: int = 115) -> CheckResult:
+    """The right-hand side of ``run``'s kernel (the quadratic form) agrees
+    with the advective form of ``rhs`` to 1e-13 relative on a random
+    two-thirds masked state on hexagonal 64^2."""
+    grid = sp.Grid(lat.preset_basis("hexagonal"), resolution, resolution)
+    c = sp.analyze(sp.random_mean_zero_field(grid, np.random.default_rng(seed))).coeffs
+    c *= sp.modes(grid).dealias
+    c[0, 0] = 0.0
+    quadratic, advective = (euler._Kernel(grid, "two_thirds", masked_state=masked)
+                            .rhs(c, np.zeros_like(c)) for masked in (True, False))
+    err = float(np.linalg.norm(quadratic - advective) / np.linalg.norm(advective))
+    return CheckResult("rhs-forms", err <= 1e-13,
+                       f"quadratic vs advective form at {resolution}^2: {err:.2e}")
+
+
 # ---------------------------------------------------------------------------
 # solver-scale checks (minutes)
 
@@ -604,6 +619,7 @@ FAST_CHECKS: list[Callable[[], CheckResult]] = [
     check_orbit_equivalence,
     check_orbit_distance,
     check_time_reversal,
+    check_rhs_forms,
 ]
 
 FULL_CHECKS: list[Callable[[], CheckResult]] = [

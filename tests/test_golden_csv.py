@@ -25,10 +25,10 @@ from torus_euler import (
 RECORDED_WITH_NUMPY = "2.4.6"
 
 GOLDEN = {
-    ("hexagonal", 2.0): "0a26316c8377c5f73fa575ff27ea6ba8fa30063f19c1c01998983894221a5ee4",
-    ("square", 4.0): "0f0d3f614ea4fb8a4a2552c211c8de668f6c83f65ad7c021f363f4f01ffc2d5b",
-    ("hexagonal", 1.0): "3ab3d44409255141e9747cd00e96efc533f4a198a5f9edb34022ee9f20f1de34",
-    ("rectangular:3.0", 3.0): "3a8a39dcf9320a11b495e7f717311b4d9dfe8ae327584be35a90e1bf38b5ed0f",
+    ("hexagonal", 2.0): "8ffc2df3a2c2ef9c0a108449e281f1b78d2f1a2a9632f60c8409634194d16122",
+    ("square", 4.0): "2466c7ae7886d9fd1138f45904544ba53dc9c5a8f3ad35d89a436b292618b9c1",
+    ("hexagonal", 1.0): "90e4ffdab097bf35577625b8af787d2c6815b8deb3f9ead30157546abdc370c2",
+    ("rectangular:3.0", 3.0): "74599402d86aab31228a0fc49559cc02c3eb01b1b78e468ed1a7a6178adffb19",
 }
 
 

@@ -5,8 +5,9 @@ symmetry checks on ``step``.
 to the rfft2 layout: every transform a full complex fft2/ifft2 on the FFT
 layout of ``full_layout``.  ``_scipy_rhs``/``_scipy_rk4`` are the half-spectrum solver before
 its preallocated kernel: 2-D ``scipy.fft`` transforms and fresh arrays for
-every product.  The kernel must reproduce the latter bit for bit.  Both are
-kept here only as references.
+every product.  The kernel's advective form, that of ``step`` and ``rhs``,
+must reproduce the latter bit for bit; ``run``'s quadratic form agrees with
+it to rounding.  Both are kept here only as references.
 """
 
 import functools
@@ -157,8 +158,8 @@ def test_one_step_is_bitwise_the_scipy_step(case, dealias):
 
 @pytest.mark.parametrize("preset,n", [("hexagonal", 128), ("square", 64),
                                       ("rectangular:1.3", 48)])
-def test_run_is_bitwise_the_scipy_loop(preset, n):
-    # at 48, no power of two, only a single 1/(n1 n2) forward factor gives these bits
+def test_run_matches_the_scipy_loop(preset, n):
+    # run steps with the quadratic form, the scipy loop with the advective one
     basis = preset_basis(preset)
     grid, F = _perturbed_state(basis, classify_eigenspace(basis), n)
     table = modes(grid)
@@ -169,7 +170,37 @@ def test_run_is_bitwise_the_scipy_loop(preset, n):
     for _ in range(200):
         _scipy_rk4(want, table, table.dealias, 1e-2, stage)
     assert t == 200 * 1e-2
-    assert np.array_equal(got.samples, irfft2(want, s=(n, n), norm="forward"))
+    assert _rel(got.samples, irfft2(want, s=(n, n), norm="forward")) <= 1e-10
+
+
+def _masked_states(preset, n):
+    """A two-thirds masked random field, and the masked perturbed eigenstate."""
+    basis = preset_basis(preset)
+    grid, F = _perturbed_state(basis, classify_eigenspace(basis), n)
+    noise = analyze(random_mean_zero_field(grid, np.random.default_rng(11))).coeffs
+    noise[0, 0] = 0.0
+    mask = modes(grid).dealias
+    return grid, noise * mask, F.coeffs * mask
+
+
+@pytest.mark.parametrize("preset,n", [("hexagonal", 128), ("square", 64),
+                                      ("rectangular:3.0", 48)])
+def test_quadratic_rhs_matches_the_advective_form(preset, n):
+    grid, noise, near = _masked_states(preset, n)
+    quadratic = _Kernel(grid, "two_thirds", masked_state=True)
+    advective = _Kernel(grid, "two_thirds", masked_state=False)
+    # Near an eigenstate, whose tendency is zero, the tendency is a small
+    # difference.  The advective form cancels it pointwise, before its forward
+    # transform; the quadratic form cancels two spectral terms whose rounding
+    # grows like |k|^2.  Measured: 2.3e-13 there at hexagonal 128^2, 8e-16 on noise.
+    for c, tol in ((noise, 1e-13), (near, 1e-11)):
+        got = quadratic.rhs(c, np.zeros_like(c))
+        assert _rel(got, advective.rhs(c, np.zeros_like(c))) <= tol
+        a, b = c.copy(), c.copy()
+        for _ in range(200):
+            quadratic.step(a, 1e-2)
+            advective.step(b, 1e-2)
+        assert _rel(a, b) <= 1e-10
 
 
 def test_kernel_steps_allocate_nothing(hex_basis, hex_info):

@@ -8,6 +8,7 @@ from torus_euler.verify import (
     check_lattice_invariance,
     check_orbit_distance,
     check_poincare,
+    check_rhs_forms,
     check_shortest_vector_geometry,
     check_spectral_transforms,
     check_time_reversal,
@@ -22,6 +23,7 @@ from torus_euler.verify import (
     check_orbit_distance,
     check_census_factored_cubic,
     check_time_reversal,
+    check_rhs_forms,
 ], ids=lambda fn: fn.__name__)
 def test_property_battery(check):
     result = check()
@@ -48,6 +50,19 @@ def test_time_reversal_check_sees_a_step_even_in_dt(monkeypatch):
 
     monkeypatch.setattr(euler._Kernel, "step", biased)
     assert not check_time_reversal(n_steps=3).ok
+
+
+@pytest.mark.parametrize("term", [0, 1], ids=["dxx-dyy", "dxdy"])
+def test_rhs_forms_check_sees_a_flipped_multiplier(monkeypatch, term):
+    init = euler._Kernel.__init__
+
+    def flipped(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.quadratic:
+            self.comb[term] *= -1.0
+
+    monkeypatch.setattr(euler._Kernel, "__init__", flipped)
+    assert not check_rhs_forms().ok
 
 
 def test_lattice_invariance_check_sees_a_skipped_reduction(monkeypatch):

@@ -10,6 +10,7 @@ from torus_euler import (
     NonZeroMean,
     RealField,
     ShapeMismatch,
+    SolverConfig,
     SpectralField,
     analyze,
     casimir,
@@ -21,6 +22,8 @@ from torus_euler import (
     lp_norm,
     modes,
     project_mean_zero,
+    rhs,
+    run,
     sample_points,
     synthesize,
     synthesize_eigenstate,
@@ -77,6 +80,18 @@ def test_shape_mismatch(square_basis):
         synthesize(SpectralField(grid, np.zeros((32, 16), dtype=complex)))
     with pytest.raises(ShapeMismatch):
         synthesize(SpectralField(grid, np.zeros((32, 32), dtype=complex)))
+
+
+def _run(F):
+    return run(SolverConfig(F.grid, dt=1e-2, t_end=1e-2), F)
+
+
+@pytest.mark.parametrize("fn", [energy, enstrophy, energy_enstrophy_gap, rhs, _run],
+                         ids=lambda fn: fn.__name__.strip("_"))
+def test_full_layout_coefficients_raise_shape_mismatch(square_basis, fn):
+    # an (n1, n2) array broadcasts against the half-spectrum tables nowhere
+    with pytest.raises(ShapeMismatch):
+        fn(SpectralField(Grid(square_basis, 16, 16), np.zeros((16, 16), dtype=complex)))
 
 
 def test_hermitian_and_mean_invariants(hex_grid, rng):
