@@ -3,22 +3,22 @@
 The vorticity is advanced in mode space with classical fixed-step RK4; the
 advection term is evaluated from pointwise products in sample space and
 truncated with the two-thirds rule, which removes all aliasing from the
-quadratic nonlinearity.  ``run``, whose state is masked by that rule, uses
-the quadratic form -(dxx - dyy)(uv) - dxdy(v^2 - u^2) of the term
-(Basdevant 1983), with two inverse and two forward transforms; the public
-``rhs`` and ``step`` use the advective form -(u . grad omega), with four
-inverse and one forward.  The vorticity is real, so the solver keeps only
-the rfft2 half spectrum (columns 0..n2/2), the layout of every
-SpectralField.  Its transforms are 1-D ``numpy.fft`` calls written into
-buffers that a ``_Kernel`` allocates once per run: ``ifft`` over the rows
-then ``irfft`` over the columns, and back with ``rfft`` then ``fft``, the
-quadratic form's pairs each as one call on two stacked arrays.  The row
-transforms skip the half-spectrum columns that the two-thirds rule keeps
-at zero.  Diagnostics track the conserved quantities (energy,
-enstrophy, higher Casimirs) and, when a target eigenstate is given, the
-distance to its translation orbit.  ``stability_ensemble`` runs ``stability_experiment`` over
-epsilon/seed pairs on a pool of at most ``TORUS_EULER_THREADS`` processes
-(default: the CPU count), with the same bits as a serial run.
+quadratic nonlinearity.  ``run``, ``rhs`` and ``step`` integrate one flow,
+the Galerkin truncation P N(P omega): the state is masked by that rule, and
+the term takes its quadratic form -(dxx - dyy)(uv) - dxdy(v^2 - u^2)
+(Basdevant 1983), with two inverse and two forward transforms.  The
+vorticity is real, so the solver keeps only the rfft2 half spectrum
+(columns 0..n2/2), the layout of every SpectralField.  Its transforms are
+1-D ``numpy.fft`` calls written into buffers that a ``_Kernel`` allocates
+once per run: ``ifft`` over the rows then ``irfft`` over the columns, and
+back with ``rfft`` then ``fft``, each pair as one call on two stacked
+arrays.  The row transforms skip the half-spectrum columns that the
+two-thirds rule keeps at zero.  Diagnostics track the conserved quantities
+(energy, enstrophy, higher Casimirs) and, when a target eigenstate is
+given, the distance to its translation orbit.  ``stability_ensemble`` runs
+``stability_experiment`` over epsilon/seed pairs on a pool of at most
+``TORUS_EULER_THREADS`` processes (default: the CPU count), with the same
+bits as a serial run.
 """
 
 from __future__ import annotations
@@ -182,20 +182,19 @@ class _Kernel:
     """Preallocated workspace of the RK4 loop on one grid, so that a step
     allocates nothing.
 
-    Under the two-thirds rule only the first ``fwd`` = (n2 - 1)//3 + 1
-    half-spectrum columns of a tendency can be nonzero, so the forward column
-    transform runs on those alone, and the rule itself zeroes the band of
-    rows with |m| > (n1 - 1)//3.  With ``masked_state`` (``run``, whose state
-    is masked like every tendency) the state's columns past ``fwd`` stay zero
-    too, so the inverse column transforms skip them as well (``width``), and
-    the right-hand side takes its quadratic form: exact on masked states,
-    four transforms instead of five.  Otherwise it keeps the advective form.
-    Pointwise products and stage updates run on whole arrays, which numpy
-    does faster than on the strided leading columns.
+    The right-hand side is P N(P omega), the Galerkin-truncated flow:
+    ``project`` masks the state once, and every tendency is masked.  Under
+    the two-thirds rule only the first ``fwd`` = (n2 - 1)//3 + 1
+    half-spectrum columns of the state and of a tendency can be nonzero, so
+    the column transforms run on those alone, and the rule itself zeroes the
+    band of rows with |m| > (n1 - 1)//3.  Under ``"none"`` there is no mask,
+    and the transforms run on every column.  Pointwise products and stage
+    updates run on whole arrays, which numpy does faster than on the strided
+    leading columns.
     """
 
-    def __init__(self, grid: Grid, dealias: str, masked_state: bool):
-        self.table = table = modes(grid)
+    def __init__(self, grid: Grid, dealias: str):
+        table = modes(grid)
         n1, n2 = grid.n1, grid.n2
         self.n2, half = n2, n2 // 2 + 1
         if dealias == "two_thirds":
@@ -204,83 +203,58 @@ class _Kernel:
             self.mask = table.dealias
         else:
             self.fwd, self.band, self.mask = half, slice(0), None
-        self.quadratic = masked_state and self.mask is not None
-        self.width = self.fwd if self.quadratic else half
         # One factor 1/(n1 n2) on the row transforms, as a 2-D transform
         # normalised "forward" applies it: 1/n2 and then 1/n1 would round
         # differently where n1 or n2 is not a power of two.
         scale = 1.0 / (n1 * n2)
-        # column-transform buffers, zero past ``width``; ``samples`` uses the first
-        self.cols = np.zeros((2 if self.quadratic else 1, n1, half), dtype=complex)
-        if self.quadratic:
-            dx, dy, inv_lap = table.dx, table.dy, table.inv_lap
-            # the velocity (psi_y, -psi_x), and the tendency's factors
-            # -(dxx - dyy) on uv and -dxdy on v^2 - u^2, with the scale
-            self.vel = np.stack([inv_lap * dy, -(inv_lap * dx)])
-            self.comb = np.stack([-scale * (dx * dx - dy * dy), -scale * (dx * dy)])
-            self.hat = np.empty((2, n1, half), dtype=complex)
-            self.uv, self.quad = np.empty((2, 2, n1, n2))
-        else:
-            self.scale = scale
-            self.inv_lap = table.inv_lap.astype(complex)
-            self.psi, self.prod, self.rows = np.empty((3, n1, half), dtype=complex)
-            self.v1, self.v2, self.w = np.empty((3, n1, n2))
-        # tendencies are written only up to ``fwd``; the rest stays zero
+        # column-transform buffers, zero past ``fwd``; ``samples`` uses the first
+        self.cols = np.zeros((2, n1, half), dtype=complex)
+        dx, dy, inv_lap = table.dx, table.dy, table.inv_lap
+        # the velocity (psi_y, -psi_x), and the tendency's factors
+        # -(dxx - dyy) on uv and -dxdy on v^2 - u^2, with the scale
+        self.vel = np.stack([inv_lap * dy, -(inv_lap * dx)])
+        self.comb = np.stack([-scale * (dx * dx - dy * dy), -scale * (dx * dy)])
+        self.hat = np.empty((2, n1, half), dtype=complex)
+        self.uv, self.quad = np.empty((2, 2, n1, n2))
+        # the RK4 accumulator, tendency and stage
         self.acc, self.k, self.stage = np.zeros((3, n1, half), dtype=complex)
+
+    def project(self, c: np.ndarray) -> np.ndarray:
+        """A copy of the half spectrum ``c`` with the modes outside the mask
+        zeroed: the state that ``rhs`` and ``step`` expect."""
+        return c.copy() if self.mask is None else c * self.mask
 
     def samples(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid samples of half-spectrum coefficients normalised as by
-        ``analyze``, or of a pair of them stacked; reads the first ``width``
+        ``analyze``, or of a pair of them stacked; reads the first ``fwd``
         columns of ``c`` only."""
         cols = self.cols if c.ndim == 3 else self.cols[0]
-        np.fft.ifft(c[..., :self.width], axis=-2, norm="forward",
-                    out=cols[..., :self.width])
+        np.fft.ifft(c[..., :self.fwd], axis=-2, norm="forward",
+                    out=cols[..., :self.fwd])
         return np.fft.irfft(cols, n=self.n2, axis=-1, norm="forward", out=out)
 
-    def velocity(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Samples of the velocity (d2 psi, -d1 psi), with the quadratic form
-        (in ``uv``); else samples of d2 psi and d1 psi (in ``v1``, ``v2``)."""
-        if self.quadratic:
-            return self.samples(np.multiply(c, self.vel, out=self.hat), self.uv)
-        np.multiply(c, self.inv_lap, out=self.psi)
-        self.samples(np.multiply(self.psi, self.table.dy, out=self.prod), self.v1)
-        self.samples(np.multiply(self.psi, self.table.dx, out=self.prod), self.v2)
-        return self.v1, self.v2
+    def velocity(self, c: np.ndarray) -> np.ndarray:
+        """Samples of the velocity (d2 psi, -d1 psi), stacked (in ``uv``)."""
+        return self.samples(np.multiply(c, self.vel, out=self.hat), self.uv)
 
     def rhs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Advection right-hand side -(v . grad omega) of the half spectrum
-        ``c``, written into the first ``fwd`` columns of ``out``, whose other
-        columns must be zero.
+        """Masked advection right-hand side -(v . grad omega) of the masked
+        half spectrum ``c``, written into ``out``.
 
-        The quadratic form (Basdevant 1983) is
+        It takes the quadratic form (Basdevant 1983)
         -(dxx - dyy)(uv) - dxdy(v^2 - u^2) with (u, v) the velocity: two
-        inverse and two forward real transforms, each pair one batched call,
-        exact where c is two-thirds masked.  The advective form takes five:
-        four inverse ones to samples of the velocity and the vorticity
-        gradient, one forward one of their pointwise product.
+        inverse and two forward real transforms, each pair one batched call.
         """
-        if self.quadratic:
-            u, v = self.velocity(c)
-            p, q = self.quad
-            np.multiply(u, v, out=p)
-            np.subtract(v, u, out=q)
-            v += u
-            q *= v  # (v - u)(v + u)
-            np.fft.rfft(self.quad, axis=-1, out=self.hat)
-            np.fft.fft(self.hat[..., :self.fwd], axis=-2, out=self.cols[..., :self.fwd])
-            self.cols *= self.comb
-            np.add(*self.cols, out=out)
-        else:
-            v1, v2 = self.velocity(c)
-            self.samples(np.multiply(c, self.table.dx, out=self.prod), self.w)
-            v1 *= self.w
-            self.samples(np.multiply(c, self.table.dy, out=self.prod), self.w)
-            v2 *= self.w
-            v2 -= v1  # exactly -(v1 wx - v2 wy): the tendency's sign comes free
-            np.fft.rfft(v2, axis=1, out=self.rows)
-            rows_re = self.rows.view(float)
-            rows_re *= self.scale
-            np.fft.fft(self.rows[:, :self.fwd], axis=0, out=out[:, :self.fwd])
+        u, v = self.velocity(c)
+        p, q = self.quad
+        np.multiply(u, v, out=p)
+        np.subtract(v, u, out=q)
+        v += u
+        q *= v  # (v - u)(v + u)
+        np.fft.rfft(self.quad, axis=-1, out=self.hat)
+        np.fft.fft(self.hat[..., :self.fwd], axis=-2, out=self.cols[..., :self.fwd])
+        self.cols *= self.comb
+        np.add(*self.cols, out=out)
         out[self.band] = 0.0
         out[0, 0] = 0.0
         return out
@@ -310,27 +284,33 @@ class _Kernel:
         c[0, 0] = 0.0
 
 
-# An entry holds about 11 half-spectrum arrays, 1.4 MiB at 128^2.
+# An entry holds 11 half-spectrum arrays and 4 real sample arrays, 1.9 MiB
+# at 128^2.
 @lru_cache(maxsize=4)
 def _public_kernel(grid: Grid, dealias: str) -> _Kernel:
-    """The unmasked-state kernel of ``rhs`` and ``step``, kept per (grid,
-    dealias) for callers that step in a loop.  Its buffers carry nothing from
-    one call to the next, and neither function returns one of them."""
-    return _Kernel(grid, dealias, masked_state=False)
+    """The kernel of ``rhs`` and ``step``, kept per (grid, dealias) for
+    callers that step in a loop.  Its buffers carry nothing from one call to
+    the next, and neither function returns one of them."""
+    return _Kernel(grid, dealias)
 
 
 def rhs(omega: SpectralField, dealias: str = "two_thirds") -> SpectralField:
-    """Instantaneous vorticity tendency of the Euler flow."""
+    """Instantaneous vorticity tendency of the Galerkin-truncated Euler flow,
+    P N(P omega) with P the ``dealias`` mask: the modes of ``omega`` outside
+    the mask do not enter."""
     F = _as_spectral(omega)
     _require_mean_zero(F)
+    kernel = _public_kernel(F.grid, dealias)
     out = np.zeros(F.grid.spectral_shape, dtype=complex)
-    return SpectralField(F.grid, _public_kernel(F.grid, dealias).rhs(F.coeffs, out))
+    return SpectralField(F.grid, kernel.rhs(kernel.project(F.coeffs), out))
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """One classical RK4 step, into a new state."""
-    c = state.omega.coeffs.copy()
-    _public_kernel(config.grid, config.dealias).step(c, config.dt)
+    """One classical RK4 step of ``run``'s flow, into a new state whose modes
+    outside the ``dealias`` mask are zero."""
+    kernel = _public_kernel(config.grid, config.dealias)
+    c = kernel.project(state.omega.coeffs)
+    kernel.step(c, config.dt)
     return SolverState(state.t + config.dt, SpectralField(config.grid, c))
 
 
@@ -371,10 +351,8 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     grid = config.grid
     F0 = _as_spectral(omega0)
     _require_mean_zero(F0)
-    kernel = _Kernel(grid, config.dealias, masked_state=True)
-    c = F0.coeffs.copy()
-    if kernel.mask is not None:
-        c *= kernel.mask
+    kernel = _Kernel(grid, config.dealias)
+    c = kernel.project(F0.coeffs)
 
     vmax = max(float(np.max(np.abs(v))) for v in kernel.velocity(c))
     min_cell = _min_cell_size(grid)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import pickle
 import sys
@@ -313,12 +314,20 @@ def _near_tie(rng, name: str) -> LatticeBasis:
 _SWEEP = [("rectangular:4.0", 2), ("square", 4), ("hexagonal", 6)]
 
 
-def _sweep_bases(name: str, dim: int) -> list[LatticeBasis]:
-    """2000 transformed presets (unimodular entries up to 6, rotation, scale
-    2**[-500, 500]) and 500 transformed near-ties per preset."""
+@functools.lru_cache(maxsize=None)
+def _sweep_generators(name: str, dim: int) -> tuple:
+    """The generator pairs of ``_sweep_bases``, drawn once per preset."""
     rng = np.random.default_rng(2024 + dim)
     bases = [_transformed(rng, preset_basis(name))[0] for _ in range(2000)]
-    return bases + [_transformed(rng, _near_tie(rng, name))[0] for _ in range(500)]
+    bases += [_transformed(rng, _near_tie(rng, name))[0] for _ in range(500)]
+    return tuple((b.xi, b.eta) for b in bases)
+
+
+def _sweep_bases(name: str, dim: int) -> list[LatticeBasis]:
+    """2000 transformed presets (unimodular entries up to 6, rotation, scale
+    2**[-500, 500]) and 500 transformed near-ties per preset, as fresh
+    bases, so that no test sees a dual that another one formed."""
+    return [LatticeBasis(xi, eta) for xi, eta in _sweep_generators(name, dim)]
 
 
 @pytest.mark.parametrize("name,dim", _SWEEP)

@@ -58,11 +58,15 @@ def test_rhs_forms_check_sees_a_flipped_multiplier(monkeypatch, term):
 
     def flipped(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        if self.quadratic:
-            self.comb[term] *= -1.0
+        self.comb[term] *= -1.0
 
+    # a kernel that ``rhs`` cached before or during the mutant would outlive it
+    euler._public_kernel.cache_clear()
     monkeypatch.setattr(euler._Kernel, "__init__", flipped)
-    assert not check_rhs_forms().ok
+    try:
+        assert not check_rhs_forms().ok
+    finally:
+        euler._public_kernel.cache_clear()
 
 
 def test_lattice_invariance_check_sees_a_skipped_reduction(monkeypatch):
