@@ -103,9 +103,9 @@ def cmd_census(args) -> int:
 def cmd_simulate(args) -> int:
     man = ExperimentManifest.from_file(args.manifest)
     config = man.solver_config()
+    reference = man.reference_coeffs()
     outdir = Path(args.output or man.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    reference = man.reference_coeffs()
     omega0 = synthesize_eigenstate(reference, config.grid)
     snapshots, diag = run(config, omega0, target=reference, p_norm=man.p_norm,
                           meta={"manifest": Path(args.manifest).name})

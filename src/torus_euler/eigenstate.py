@@ -202,21 +202,27 @@ def solve_translation(c: EigenstateCoeffs, other: EigenstateCoeffs,
               if min(c.amps[i], other.amps[i]) > tol]
     # target: 2 pi k_i . p == alpha_i - alpha_i' (mod 2 pi) for active i
     delta = {i: _wrap_phase(c.phases[i] - other.phases[i]) for i in active}
-    if not active:
-        return np.zeros(2)
-    if len(active) == 1:
-        i = active[0]
-        k = np.asarray(c.info.k[i])
-        p = (delta[i] / _TWO_PI) * k / (k @ k)
-    else:
-        i, j = active[0], active[1]
-        kmat = np.array([c.info.k[i], c.info.k[j]], dtype=float)
-        p = np.linalg.solve(kmat, [delta[i] / _TWO_PI, delta[j] / _TWO_PI])
+    p = _translation(c.info, active, delta)
     shifted = translate_coeffs(c, p)
     for i in active:
         if circ_dist(shifted.phases[i], other.phases[i]) > tol:
             return None
     return p
+
+
+def _translation(info: EigenspaceInfo, active, phases) -> np.ndarray:
+    """A p with 2 pi k_i . p = phases[i] for the first two ``active`` modes
+    (for one, the p along its k_i; for none, 0): the third 6D wavevector is
+    k1 + k2, so two modes fix p."""
+    if not active:
+        return np.zeros(2)
+    if len(active) == 1:
+        i = active[0]
+        k = np.asarray(info.k[i])
+        return (phases[i] / _TWO_PI) * k / (k @ k)
+    i, j = active[0], active[1]
+    kmat = np.array([info.k[i], info.k[j]], dtype=float)
+    return np.linalg.solve(kmat, [phases[i] / _TWO_PI, phases[j] / _TWO_PI])
 
 
 def _cell_coords(p: np.ndarray, info: EigenspaceInfo) -> tuple[float, float]:
@@ -308,19 +314,10 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
     target = 0.5 * amps * np.exp(1j * (np.array(c.phases) - t_opt))
     dist_sq = F.grid.area * (residual_power + 2.0 * float(np.sum(np.abs(raw - target) ** 2)))
 
-    # recover a translation realizing the optimal phases
-    act = amps > 0
-    nact = int(np.count_nonzero(act))
-    if nact == 0:
-        p = np.zeros(2)
-    elif nact == 1:
-        i = int(np.nonzero(act)[0][0])
-        k = np.asarray(c.info.k[i])
-        p = (-beta[i] / _TWO_PI) * k / (k @ k)
-    else:
-        ii = np.nonzero(act)[0][:2]
-        kmat = np.array([c.info.k[ii[0]], c.info.k[ii[1]]], dtype=float)
-        p = np.linalg.solve(kmat, t_opt[ii] / _TWO_PI)
+    # recover a translation realizing the optimal phases; a lone active
+    # mode's own phase is -beta_i, which the 6D t_opt holds only to rounding
+    active = [i for i in range(c.info.npairs) if amps[i] > 0]
+    p = _translation(c.info, active, -beta if len(active) == 1 else t_opt)
     return math.sqrt(dist_sq), _wrap_to_cell(p, c.info)
 
 

@@ -3,22 +3,22 @@
 The vorticity is advanced in mode space with classical fixed-step RK4; the
 advection term is evaluated from pointwise products in sample space and
 truncated with the two-thirds rule, which removes all aliasing from the
-quadratic nonlinearity.  ``run``, ``rhs`` and ``step`` integrate one flow,
-the Galerkin truncation P N(P omega): the state is masked by that rule, and
-the term takes its quadratic form -(dxx - dyy)(uv) - dxdy(v^2 - u^2)
-(Basdevant 1983), with two inverse and two forward transforms.  The
-vorticity is real, so the solver keeps only the rfft2 half spectrum
-(columns 0..n2/2), the layout of every SpectralField.  Its transforms are
-1-D ``numpy.fft`` calls written into buffers that a ``_Kernel`` allocates
-once per run: ``ifft`` over the rows then ``irfft`` over the columns, and
-back with ``rfft`` then ``fft``, each pair as one call on two stacked
-arrays.  The row transforms skip the half-spectrum columns that the
-two-thirds rule keeps at zero.  Diagnostics track the conserved quantities
-(energy, enstrophy, higher Casimirs) and, when a target eigenstate is
-given, the distance to its translation orbit.  ``stability_ensemble`` runs
-``stability_experiment`` over epsilon/seed pairs on a pool of at most
-``TORUS_EULER_THREADS`` processes (default: the CPU count), with the same
-bits as a serial run.
+quadratic nonlinearity.  That truncation is the solver's one flow:
+``run``, ``rhs`` and ``step`` integrate P N(P omega), with P the two-thirds
+mask, and no option selects another.  The term takes its quadratic form
+-(dxx - dyy)(uv) - dxdy(v^2 - u^2) (Basdevant 1983), with two inverse and
+two forward transforms.  The vorticity is real, so the solver keeps only
+the rfft2 half spectrum (columns 0..n2/2), the layout of every
+SpectralField.  Its transforms are 1-D ``numpy.fft`` calls written into
+buffers that a ``_Kernel`` allocates once per run: ``ifft`` over the rows
+then ``irfft`` over the columns, and back with ``rfft`` then ``fft``, each
+pair as one call on two stacked arrays.  The row transforms skip the
+half-spectrum columns that the two-thirds rule keeps at zero.  Diagnostics
+track the conserved quantities (energy, enstrophy, higher Casimirs) and,
+when a target eigenstate is given, the distance to its translation orbit.
+``stability_ensemble`` runs ``stability_experiment`` over epsilon/seed pairs
+on a pool of at most ``TORUS_EULER_THREADS`` processes (default: the CPU
+count), with the same bits as a serial run.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ class SolverConfig:
     grid: Grid
     dt: float
     t_end: float
-    dealias: str = "two_thirds"
     diag_stride: int = 10
     snapshot_times: tuple[float, ...] = ()
 
@@ -104,8 +103,6 @@ class SolverConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
-        if self.dealias not in ("two_thirds", "none"):
-            raise ValueError(f"unknown dealias mode {self.dealias!r}")
         if self.diag_stride < 1:
             raise ValueError("diag_stride must be >= 1")
         ratio = self.t_end / self.dt
@@ -182,27 +179,23 @@ class _Kernel:
     """Preallocated workspace of the RK4 loop on one grid, so that a step
     allocates nothing.
 
-    The right-hand side is P N(P omega), the Galerkin-truncated flow:
-    ``project`` masks the state once, and every tendency is masked.  Under
-    the two-thirds rule only the first ``fwd`` = (n2 - 1)//3 + 1
+    The right-hand side is P N(P omega), the Galerkin-truncated flow under
+    the two-thirds rule: ``project`` masks the state once, and every
+    tendency is masked.  Only the first ``fwd`` = (n2 - 1)//3 + 1
     half-spectrum columns of the state and of a tendency can be nonzero, so
     the column transforms run on those alone, and the rule itself zeroes the
-    band of rows with |m| > (n1 - 1)//3.  Under ``"none"`` there is no mask,
-    and the transforms run on every column.  Pointwise products and stage
+    ``band`` of rows with |m| > (n1 - 1)//3.  Pointwise products and stage
     updates run on whole arrays, which numpy does faster than on the strided
     leading columns.
     """
 
-    def __init__(self, grid: Grid, dealias: str):
+    def __init__(self, grid: Grid):
         table = modes(grid)
         n1, n2 = grid.n1, grid.n2
         self.n2, half = n2, n2 // 2 + 1
-        if dealias == "two_thirds":
-            self.fwd = (n2 - 1) // 3 + 1
-            self.band = slice((n1 - 1) // 3 + 1, n1 - (n1 - 1) // 3)
-            self.mask = table.dealias
-        else:
-            self.fwd, self.band, self.mask = half, slice(0), None
+        self.fwd = (n2 - 1) // 3 + 1
+        self.band = slice((n1 - 1) // 3 + 1, n1 - (n1 - 1) // 3)
+        self.mask = table.dealias
         # One factor 1/(n1 n2) on the row transforms, as a 2-D transform
         # normalised "forward" applies it: 1/n2 and then 1/n1 would round
         # differently where n1 or n2 is not a power of two.
@@ -222,7 +215,7 @@ class _Kernel:
     def project(self, c: np.ndarray) -> np.ndarray:
         """A copy of the half spectrum ``c`` with the modes outside the mask
         zeroed: the state that ``rhs`` and ``step`` expect."""
-        return c.copy() if self.mask is None else c * self.mask
+        return c * self.mask
 
     def samples(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid samples of half-spectrum coefficients normalised as by
@@ -287,28 +280,28 @@ class _Kernel:
 # An entry holds 11 half-spectrum arrays and 4 real sample arrays, 1.9 MiB
 # at 128^2.
 @lru_cache(maxsize=4)
-def _public_kernel(grid: Grid, dealias: str) -> _Kernel:
-    """The kernel of ``rhs`` and ``step``, kept per (grid, dealias) for
-    callers that step in a loop.  Its buffers carry nothing from one call to
-    the next, and neither function returns one of them."""
-    return _Kernel(grid, dealias)
+def _public_kernel(grid: Grid) -> _Kernel:
+    """The kernel of ``rhs`` and ``step``, kept per grid for callers that
+    step in a loop.  Its buffers carry nothing from one call to the next,
+    and neither function returns one of them."""
+    return _Kernel(grid)
 
 
-def rhs(omega: SpectralField, dealias: str = "two_thirds") -> SpectralField:
+def rhs(omega: SpectralField) -> SpectralField:
     """Instantaneous vorticity tendency of the Galerkin-truncated Euler flow,
-    P N(P omega) with P the ``dealias`` mask: the modes of ``omega`` outside
+    P N(P omega) with P the two-thirds mask: the modes of ``omega`` outside
     the mask do not enter."""
     F = _as_spectral(omega)
     _require_mean_zero(F)
-    kernel = _public_kernel(F.grid, dealias)
+    kernel = _public_kernel(F.grid)
     out = np.zeros(F.grid.spectral_shape, dtype=complex)
     return SpectralField(F.grid, kernel.rhs(kernel.project(F.coeffs), out))
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
     """One classical RK4 step of ``run``'s flow, into a new state whose modes
-    outside the ``dealias`` mask are zero."""
-    kernel = _public_kernel(config.grid, config.dealias)
+    outside the two-thirds mask are zero."""
+    kernel = _public_kernel(config.grid)
     c = kernel.project(state.omega.coeffs)
     kernel.step(c, config.dt)
     return SolverState(state.t + config.dt, SpectralField(config.grid, c))
@@ -351,7 +344,7 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     grid = config.grid
     F0 = _as_spectral(omega0)
     _require_mean_zero(F0)
-    kernel = _Kernel(grid, config.dealias)
+    kernel = _Kernel(grid)
     c = kernel.project(F0.coeffs)
 
     vmax = max(float(np.max(np.abs(v))) for v in kernel.velocity(c))
@@ -450,7 +443,6 @@ def stability_experiment(basis, reference: EigenstateCoeffs, epsilon: float,
         "seed": perturbation_seed,
         "epsilon": epsilon,
         "p_norm": p_norm,
-        "area": grid.area,
     }
     _, diag = run(config, omega0, target=reference, p_norm=p_norm, meta=meta)
     return diag

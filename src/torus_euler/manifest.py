@@ -44,8 +44,8 @@ def _join(vals) -> str:
 _SCHEMA = {
     "lattice": {"preset": (str, str), "xi": (_pair, _join), "eta": (_pair, _join)},
     "grid": {"n1": (int, str), "n2": (int, str)},
-    "solver": {"dt": (float, str), "t_end": (float, str), "dealias": (str, str),
-               "diag_stride": (int, str), "snapshot_times": (_floats, _join)},
+    "solver": {"dt": (float, str), "t_end": (float, str), "diag_stride": (int, str),
+               "snapshot_times": (_floats, _join)},
     "experiment": {"reference": (_floats, _join), "epsilons": (_floats, _join),
                    "seeds": (_ints, _join), "p_norm": (float, str), "output_dir": (str, str)},
 }
@@ -75,7 +75,6 @@ class ExperimentManifest:
     n2: int = 128
     dt: float = 1e-2
     t_end: float = 20.0
-    dealias: str = "two_thirds"
     diag_stride: int = 10
     snapshot_times: tuple[float, ...] = ()
     reference: tuple[float, ...] = ()   # flat amplitude/phase pairs
@@ -109,7 +108,6 @@ class ExperimentManifest:
             grid=self.grid(),
             dt=self.dt,
             t_end=self.t_end,
-            dealias=self.dealias,
             diag_stride=self.diag_stride,
             snapshot_times=self.snapshot_times,
         )

@@ -83,17 +83,16 @@ def synthesize(full: np.ndarray) -> np.ndarray:
     return (np.fft.ifft2(full) * full.size).real
 
 
-def quadratic_rhs(c, table, mask):
+def quadratic_rhs(c, table):
     """The right-hand side in the quadratic form of Basdevant (1983),
     -(dxx - dyy)(uv) - dxdy(v^2 - u^2) with (u, v) = (psi_y, -psi_x), on the
-    full layout ``c``; ``mask`` is the two-thirds mask or None."""
+    full layout ``c``, masked with the two-thirds rule."""
     psi = c * table.inv_lap
     u = synthesize(psi * table.dy)
     v = synthesize(-(psi * table.dx))
     out = -((table.dx * table.dx - table.dy * table.dy) * analyze(u * v)
             + table.dx * table.dy * analyze(v * v - u * u))
-    if mask is not None:
-        out *= mask
+    out *= table.dealias
     out[0, 0] = 0.0
     return out
 

@@ -8,7 +8,7 @@ import pytest
 
 import torus_euler
 from torus_euler.cli import main
-from torus_euler.manifest import ExperimentManifest, ManifestError
+from torus_euler.manifest import _SCHEMA, ExperimentManifest, ManifestError
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +305,83 @@ def test_stability_sweep_worker_pool(tmp_path, capsys, monkeypatch):
         written[threads] = {f.name: f.read_bytes() for f in outdir.glob("stability_*.csv")}
     assert len(written["2"]) == 4
     assert written["2"] == written["1"]
+
+
+# A 16^2 hexagonal manifest for `simulate`, and one row per manifest key:
+# the manifest with that key set or changed either writes something else
+# (CSV bytes, snapshot files or their location) or exits 2 before any output.
+_KEY_BASE = {
+    "lattice": {"preset": "hexagonal"},
+    "grid": {"n1": "16", "n2": "16"},
+    "solver": {"dt": "0.05", "t_end": "0.2", "diag_stride": "2"},
+    "experiment": {"reference": "1 0 0.5 1 0.25 2", "p_norm": "2.0", "output_dir": "out"},
+}
+_KEY_ROWS = {  # key: (the value it is set to, whether `simulate` exits 2)
+    "lattice.preset": ("square", True),  # whose eigenspace takes 2 reference pairs
+    "lattice.xi": ("6.283185307179586 0", True),  # beside the preset
+    "lattice.eta": ("0 6.283185307179586", True),
+    "grid.n1": ("24", False),
+    "grid.n2": ("24", False),
+    "solver.dt": ("0.1", False),
+    "solver.t_end": ("0.4", False),
+    "solver.diag_stride": ("1", False),
+    "solver.snapshot_times": ("0.1", False),
+    "solver.dealias": ("two_thirds", True),  # not a key
+    "experiment.reference": ("1 0 1 0 1 0", False),
+    "experiment.epsilons": ("0.5", False),
+    "experiment.seeds": ("3", False),
+    "experiment.p_norm": ("4.0", False),
+    "experiment.output_dir": ("elsewhere", False),
+}
+_DROPPED = "simulate runs the unperturbed eigenstate and drops this key (ROADMAP item 3)"
+
+
+def _simulate_in(run_dir, monkeypatch, capsys, changes):
+    """Exit code of `simulate` on the base manifest with ``changes``, every
+    file it wrote under ``run_dir`` by relative path, and the entries there."""
+    sections = {name: dict(keys) for name, keys in _KEY_BASE.items()}
+    for dotted, value in changes.items():
+        section, key = dotted.split(".")
+        sections[section][key] = value
+    run_dir.mkdir()
+    (run_dir / "m.ini").write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()))
+    monkeypatch.chdir(run_dir)
+    code, _, _ = run_cli(capsys, "simulate", "--manifest", "m.ini")
+    written = {str(p.relative_to(run_dir)): p.read_bytes()
+               for p in sorted(run_dir.rglob("*")) if p.is_file() and p.name != "m.ini"}
+    return code, written, sorted(p.name for p in run_dir.iterdir())
+
+
+def test_the_key_table_covers_the_schema():
+    assert set(_KEY_ROWS) == {f"{section}.{key}" for section, keys in _SCHEMA.items()
+                              for key in keys} | {"solver.dealias"}
+
+
+@pytest.mark.parametrize("key", [
+    pytest.param(key, marks=pytest.mark.xfail(strict=True, reason=_DROPPED))
+    if key in ("experiment.epsilons", "experiment.seeds") else key
+    for key in _KEY_ROWS])
+def test_every_manifest_key_is_used_or_rejected_by_simulate(tmp_path, monkeypatch,
+                                                            capsys, key):
+    value, rejected = _KEY_ROWS[key]
+    base_code, base, _ = _simulate_in(tmp_path / "base", monkeypatch, capsys, {})
+    assert base_code == 0
+    code, written, entries = _simulate_in(tmp_path / "row", monkeypatch, capsys, {key: value})
+    if rejected:
+        assert code == 2 and entries == ["m.ini"]
+    else:
+        assert code == 0 and written != base
+
+
+def test_stability_rejects_a_dealias_key_before_any_output(tmp_path, capsys):
+    path = _small_manifest(tmp_path)
+    path.write_text(path.read_text().replace("[solver]\n", "[solver]\ndealias = two_thirds\n"))
+    code, out, err = run_cli(capsys, "stability", "--manifest", str(path))
+    assert code == 2
+    assert "unknown key 'dealias' in [solver]" in err
+    assert out == "" and not (tmp_path / "out").exists()
 
 
 def test_unhonourable_snapshots_exit_2(tmp_path, capsys):

@@ -251,8 +251,9 @@ def test_run_rejects_nonzero_mean(hex_grid):
 def test_config_validation(hex_grid):
     with pytest.raises(ValueError):
         SolverConfig(hex_grid, dt=-1.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(hex_grid, dt=1e-2, t_end=1.0, dealias="half")
+    # the two-thirds truncation is the one flow: there is no dealias option
+    with pytest.raises(TypeError):
+        SolverConfig(hex_grid, dt=1e-2, t_end=1.0, dealias="two_thirds")
 
 
 @pytest.mark.parametrize("dt,t_end,snaps,match", [

@@ -4,13 +4,14 @@ symmetry checks on ``step``.
 ``_oracle_rhs``/``_oracle_step`` are the solver as it stood before the move
 to the rfft2 layout: every transform a full complex fft2/ifft2 on the FFT
 layout of ``full_layout``, and the advective form -(u . grad omega) of the
-term (``full_layout.quadratic_rhs`` is the quadratic form there, the
-reference without a mask).  ``_scipy_rhs``/``_scipy_rk4`` are the
-half-spectrum solver before its preallocated kernel: 2-D ``scipy.fft``
-transforms and fresh arrays for every product, in the advective form
-(``_scipy_quadratic_rhs``: the quadratic one).  The kernel's one form, the
-quadratic one of ``run``, ``step`` and ``rhs``, agrees with them to rounding
-on a masked state.  They are kept here only as references.
+term (``full_layout.quadratic_rhs`` is the quadratic form there).
+``_scipy_rhs``/``_scipy_rk4`` are the half-spectrum solver before its
+preallocated kernel: 2-D ``scipy.fft`` transforms and fresh arrays for every
+product, in the advective form (``_scipy_quadratic_rhs``: the quadratic
+one).  Every oracle masks its tendency with the two-thirds rule, as the
+kernel does; the kernel's one form, the quadratic one of ``run``, ``step``
+and ``rhs``, agrees with them to rounding on a masked state.  They are kept
+here only as references.
 """
 
 import functools
@@ -45,7 +46,7 @@ from torus_euler.spectral import random_mean_zero_field
 import full_layout as fl
 
 
-def _oracle_rhs(c, table, mask):
+def _oracle_rhs(c, table):
     psi = c * table.inv_lap
     v1 = np.fft.ifft2(psi * table.dy).real
     v2 = np.fft.ifft2(psi * table.dx).real
@@ -53,20 +54,14 @@ def _oracle_rhs(c, table, mask):
     wy = np.fft.ifft2(c * table.dy).real
     adv = v1 * wx - v2 * wy
     out = -np.fft.fft2(adv) * (c.shape[0] * c.shape[1])
-    if mask is not None:
-        out *= mask
+    out *= table.dealias
     out[0, 0] = 0.0
     return out
 
 
-def _oracle_step(c, grid, dt, dealias="two_thirds"):
-    """One RK4 step of the masked state ``c``: the advective form under the
-    two-thirds rule, the quadratic form, which aliases differently, without it."""
-    table = fl.full_modes(grid)
-    if dealias == "two_thirds":
-        f = functools.partial(_oracle_rhs, table=table, mask=table.dealias)
-    else:
-        f = functools.partial(fl.quadratic_rhs, table=table, mask=None)
+def _oracle_step(c, grid, dt, form=_oracle_rhs):
+    """One RK4 step of the masked state ``c`` with the right-hand side ``form``."""
+    f = functools.partial(form, table=fl.full_modes(grid))
     k1 = f(c)
     k2 = f(c + 0.5 * dt * k1)
     k3 = f(c + 0.5 * dt * k2)
@@ -80,7 +75,7 @@ def _samples(a):
     return irfft2(a, s=(a.shape[0], 2 * (a.shape[1] - 1)), norm="forward")
 
 
-def _scipy_rhs(c, table, mask):
+def _scipy_rhs(c, table):
     psi = c * table.inv_lap
     v1 = _samples(psi * table.dy)
     v2 = _samples(psi * table.dx)
@@ -91,39 +86,37 @@ def _scipy_rhs(c, table, mask):
     v1 -= v2
     out = rfft2(v1, norm="forward")
     np.negative(out, out=out)
-    if mask is not None:
-        out *= mask
+    out *= table.dealias
     out[0, 0] = 0.0
     return out
 
 
-def _scipy_quadratic_rhs(c, table, mask):
+def _scipy_quadratic_rhs(c, table):
     psi = c * table.inv_lap
     u = _samples(psi * table.dy)
     v = _samples(-(psi * table.dx))
     out = -((table.dx * table.dx - table.dy * table.dy) * rfft2(u * v, norm="forward")
             + table.dx * table.dy * rfft2(v * v - u * u, norm="forward"))
-    if mask is not None:
-        out *= mask
+    out *= table.dealias
     out[0, 0] = 0.0
     return out
 
 
-def _scipy_rk4(c, table, mask, dt, stage, rhs=_scipy_rhs):
-    acc = rhs(c, table, mask)
+def _scipy_rk4(c, table, dt, stage, rhs=_scipy_rhs):
+    acc = rhs(c, table)
     np.multiply(acc, 0.5 * dt, out=stage)
     stage += c
-    k = rhs(stage, table, mask)
+    k = rhs(stage, table)
     np.multiply(k, 0.5 * dt, out=stage)
     stage += c
     k *= 2.0
     acc += k
-    k = rhs(stage, table, mask)
+    k = rhs(stage, table)
     np.multiply(k, dt, out=stage)
     stage += c
     k *= 2.0
     acc += k
-    acc += rhs(stage, table, mask)
+    acc += rhs(stage, table)
     acc *= dt / 6.0
     c += acc
     c[0, 0] = 0.0
@@ -150,10 +143,8 @@ def _perturbed_state(basis, info, n=64):
     return grid, F
 
 
-def _masked(F, dealias="two_thirds"):
-    """P F: F with the modes outside the ``dealias`` mask zeroed."""
-    if dealias == "none":
-        return F
+def _masked(F):
+    """P F: F with the modes outside the two-thirds mask zeroed."""
     return SpectralField(F.grid, F.coeffs * modes(F.grid).dealias)
 
 
@@ -165,26 +156,27 @@ def _full(F):
     return fl.extend(F.coeffs, F.grid.n2)
 
 
-@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
-def test_one_step_matches_full_complex_oracle(case, dealias):
+# The oracle's form of the term, both masked: "two_thirds" is the advective
+# form of the solver the kernel replaced, "quadratic" the kernel's own form.
+@pytest.mark.parametrize("form", ["two_thirds", "quadratic"])
+def test_one_step_matches_full_complex_oracle(case, form):
     grid, F = case
-    F = _masked(F, dealias)
-    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
+    F = _masked(F)
+    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0)
     got = _full(step(SolverState(0.0, F), cfg).omega)
-    assert _rel(got, _oracle_step(_full(F), grid, 1e-2, dealias)) <= 1e-13
+    oracle = {"two_thirds": _oracle_rhs, "quadratic": fl.quadratic_rhs}[form]
+    assert _rel(got, _oracle_step(_full(F), grid, 1e-2, oracle)) <= 1e-13
 
 
-@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
-def test_one_step_matches_the_scipy_step(case, dealias):
+@pytest.mark.parametrize("form", ["two_thirds", "quadratic"])
+def test_one_step_matches_the_scipy_step(case, form):
     grid, F = case
-    F = _masked(F, dealias)
+    F = _masked(F)
     table = modes(grid)
-    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
+    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0)
     want = F.coeffs.copy()
-    if dealias == "two_thirds":
-        _scipy_rk4(want, table, table.dealias, 1e-2, np.empty_like(want))
-    else:
-        _scipy_rk4(want, table, None, 1e-2, np.empty_like(want), _scipy_quadratic_rhs)
+    oracle = {"two_thirds": _scipy_rhs, "quadratic": _scipy_quadratic_rhs}[form]
+    _scipy_rk4(want, table, 1e-2, np.empty_like(want), oracle)
     assert _rel(step(SolverState(0.0, F), cfg).omega.coeffs, want) <= 1e-13
 
 
@@ -200,7 +192,7 @@ def test_run_matches_the_scipy_loop(preset, n):
     want = F.coeffs * table.dealias
     stage = np.empty_like(want)
     for _ in range(200):
-        _scipy_rk4(want, table, table.dealias, 1e-2, stage)
+        _scipy_rk4(want, table, 1e-2, stage)
     assert t == 200 * 1e-2
     assert _rel(got.samples, irfft2(want, s=(n, n), norm="forward")) <= 1e-10
 
@@ -217,7 +209,7 @@ def test_public_steps_are_bitwise_run(preset, n):
     for _ in range(50):
         state = step(state, cfg)
     assert state.t == pytest.approx(t)
-    assert np.array_equal(_Kernel(grid, "two_thirds").samples(state.omega.coeffs), want.samples)
+    assert np.array_equal(_Kernel(grid).samples(state.omega.coeffs), want.samples)
 
 
 def test_rhs_ignores_the_modes_outside_the_mask(case):
@@ -241,25 +233,25 @@ def _masked_states(preset, n):
 def test_quadratic_rhs_matches_the_advective_form(preset, n):
     grid, noise, near = _masked_states(preset, n)
     table = modes(grid)
-    kernel = _Kernel(grid, "two_thirds")
+    kernel = _Kernel(grid)
     # Near an eigenstate, whose tendency is zero, the tendency is a small
     # difference.  The advective form cancels it pointwise, before its forward
     # transform; the quadratic form cancels two spectral terms whose rounding
     # grows like |k|^2.  Measured: 2.3e-13 there at hexagonal 128^2, 8e-16 on noise.
     for c, tol in ((noise, 1e-13), (near, 1e-11)):
         got = kernel.rhs(c, np.zeros_like(c))
-        assert _rel(got, _scipy_rhs(c, table, table.dealias)) <= tol
+        assert _rel(got, _scipy_rhs(c, table)) <= tol
         a, b = c.copy(), c.copy()
         stage = np.empty_like(b)
         for _ in range(200):
             kernel.step(a, 1e-2)
-            _scipy_rk4(b, table, table.dealias, 1e-2, stage)
+            _scipy_rk4(b, table, 1e-2, stage)
         assert _rel(a, b) <= 1e-10
 
 
 def test_kernel_steps_allocate_nothing(hex_basis, hex_info):
     grid, F = _perturbed_state(hex_basis, hex_info, 128)
-    kernel = _Kernel(grid, "two_thirds")
+    kernel = _Kernel(grid)
     c = F.coeffs * kernel.mask
     kernel.step(c, 1e-2)  # warm-up: transform plans
     tracemalloc.start()
@@ -275,23 +267,22 @@ def test_kernel_steps_allocate_nothing(hex_basis, hex_info):
     assert peak - base < 16 * 1024
 
 
-@pytest.mark.parametrize("dealias", ["two_thirds", "none"])
-def test_public_step_and_rhs_return_fresh_arrays(case, dealias):
+def test_public_step_and_rhs_return_fresh_arrays(case):
     grid, F = case
-    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, dealias=dealias)
-    fresh = _Kernel(grid, dealias)
+    cfg = SolverConfig(grid, dt=1e-2, t_end=1.0)
+    fresh = _Kernel(grid)
     want = fresh.project(F.coeffs)
     want_rhs = fresh.rhs(want, np.zeros_like(want))
     fresh.step(want, 1e-2)
     first = step(SolverState(0.0, F), cfg).omega.coeffs
     kept = first.copy()
     second = step(SolverState(0.0, F), cfg).omega.coeffs
-    r1, r2 = rhs(F, dealias).coeffs, rhs(F, dealias).coeffs
+    r1, r2 = rhs(F).coeffs, rhs(F).coeffs
     assert np.array_equal(first, want)
     assert np.array_equal(second, first) and np.array_equal(first, kept)
     assert np.array_equal(r1, want_rhs)
     assert np.array_equal(r2, r1)
-    buffers = [b for b in vars(_public_kernel(grid, dealias)).values()
+    buffers = [b for b in vars(_public_kernel(grid)).values()
                if isinstance(b, np.ndarray)]
     for out in (first, second, r1, r2):
         assert not any(np.shares_memory(out, b) for b in buffers + [F.coeffs])
@@ -322,7 +313,7 @@ def test_step_is_exactly_time_reversible(preset, n):
     # and every RK4 stage of (-c, -dt) is the negated stage of (c, dt).
     basis = preset_basis(preset)
     grid, F = _perturbed_state(basis, classify_eigenspace(basis), n)
-    kernel = _Kernel(grid, "two_thirds")
+    kernel = _Kernel(grid)
     forward = F.coeffs * kernel.mask
     backward = -forward
     for _ in range(50):
@@ -334,7 +325,7 @@ def test_step_is_exactly_time_reversible(preset, n):
 def test_rhs_matches_full_complex_oracle(case):
     grid, F = case
     table = fl.full_modes(grid)
-    want = _oracle_rhs(_full(_masked(F)), table, table.dealias)
+    want = _oracle_rhs(_full(_masked(F)), table)
     # the two forms round differently near an eigenstate (see
     # test_quadratic_rhs_matches_the_advective_form); measured 1.0e-13 on
     # the hexagonal case, 4.1e-14 on the rectangular one

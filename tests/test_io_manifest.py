@@ -99,7 +99,7 @@ def test_manifest_objects(tmp_path):
     grid = man.grid()
     assert (grid.n1, grid.n2) == (32, 32)
     cfg = man.solver_config()
-    assert cfg.dt == man.dt and cfg.dealias == "two_thirds"
+    assert cfg.dt == man.dt
     ref = man.reference_coeffs()
     assert ref.amps == (1.0, 1.0, 1.0)
     path = tmp_path / "exp.ini"
