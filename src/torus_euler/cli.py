@@ -102,6 +102,10 @@ def cmd_census(args) -> int:
 
 def cmd_simulate(args) -> int:
     man = ExperimentManifest.from_file(args.manifest)
+    for key in ("epsilons", "seeds"):
+        if getattr(man, key):
+            raise ManifestError(f"[experiment] {key} is not used by simulate, which runs "
+                                "the unperturbed eigenstate; stability runs perturbed ones")
     config = man.solver_config()
     reference = man.reference_coeffs()
     outdir = Path(args.output or man.output_dir)

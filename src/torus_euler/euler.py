@@ -300,11 +300,14 @@ def rhs(omega: SpectralField) -> SpectralField:
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
     """One classical RK4 step of ``run``'s flow, into a new state whose modes
-    outside the two-thirds mask are zero."""
+    outside the two-thirds mask are zero.  From a time n dt the new time is
+    (n + 1) dt, as ``run`` counts it, so that rounding does not build up."""
     kernel = _public_kernel(config.grid)
     c = kernel.project(state.omega.coeffs)
     kernel.step(c, config.dt)
-    return SolverState(state.t + config.dt, SpectralField(config.grid, c))
+    n = round(state.t / config.dt)
+    t = (n + 1) * config.dt if state.t == n * config.dt else state.t + config.dt
+    return SolverState(t, SpectralField(config.grid, c))
 
 
 def _min_cell_size(grid: Grid) -> float:

@@ -1,10 +1,10 @@
 """Self-contained verification battery behind the `verify` subcommand.
 
-Each check returns a CheckResult and pins its own tolerances; the same
-functions back the acceptance test suite.  Fast checks cover the lattice,
-spectral, moment, and orbit machinery; the solver-scale checks (steadiness,
-conservation, stability witness, integrator order) run only on request
-because they take minutes.
+Each check takes no arguments, pins its tolerances and configuration (stated
+in its docstring) and returns a CheckResult; the acceptance tests call the
+same functions.  Fast checks cover the lattice, spectral, moment and orbit
+machinery; the solver-scale checks (steadiness, conservation, stability
+witness, integrator order) run only on request because they take minutes.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ class CheckResult:
     detail: str
 
 
-def _random_basis(rng: np.random.Generator, max_cond: float = 50.0) -> lat.LatticeBasis:
-    """Non-degenerate random generators with bounded condition number."""
+def _random_basis(rng: np.random.Generator) -> lat.LatticeBasis:
+    """Non-degenerate random generators with condition number at most 50."""
     while True:
         m = rng.uniform(-2.0, 2.0, (2, 2)) * 10.0 ** rng.uniform(-0.5, 0.5)
         s = np.linalg.svd(m, compute_uv=False)
-        if s[1] > 1e-3 and s[0] / s[1] <= max_cond:
+        if s[1] > 1e-3 and s[0] / s[1] <= 50.0:
             return lat.LatticeBasis(tuple(m[0]), tuple(m[1]))
 
 
@@ -128,9 +128,9 @@ def check_golden_lattice_presets() -> CheckResult:
     return CheckResult("golden-lattice-presets", worst <= tol, f"worst error {worst:.2e}")
 
 
-def check_dual_basis_identities(n: int = 1000, seed: int = 101) -> CheckResult:
-    """Biorthogonality of the dual basis to 1e-12 on random bases."""
-    rng = np.random.default_rng(seed)
+def check_dual_basis_identities() -> CheckResult:
+    """Biorthogonality of the dual basis to 1e-12 on 1000 random bases (seed 101)."""
+    rng, n = np.random.default_rng(101), 1000
     worst = 0.0
     for _ in range(n):
         b = _random_basis(rng)
@@ -141,10 +141,10 @@ def check_dual_basis_identities(n: int = 1000, seed: int = 101) -> CheckResult:
                        f"{n} bases, worst identity error {worst:.2e}")
 
 
-def check_shortest_vector_geometry(n: int = 300, seed: int = 102) -> CheckResult:
+def check_shortest_vector_geometry() -> CheckResult:
     """Shell closure under negation, pi/3 angle bound, hexagon regularity,
-    and gram(dual(dual)) == gram(original)."""
-    rng = np.random.default_rng(seed)
+    and gram(dual(dual)) == gram(original) on 300 random bases (seed 102)."""
+    rng, n = np.random.default_rng(102), 300
     problems = []
     for i in range(n):
         b = _random_basis(rng)
@@ -177,12 +177,12 @@ def check_shortest_vector_geometry(n: int = 300, seed: int = 102) -> CheckResult
                        problems[0] if problems else f"{n} bases clean")
 
 
-def check_lattice_invariance(n: int = 200, seed: int = 114) -> CheckResult:
+def check_lattice_invariance() -> CheckResult:
     """The classification depends on the torus, not on its generators: each
     preset under a unimodular change of basis (entries up to 6), a rotation
     and a scale s keeps its dimension, with lambda1 = preset lambda1 / s^2
-    to 1e-12 relative."""
-    rng = np.random.default_rng(seed)
+    to 1e-12 relative, over 200 lattices (seed 114)."""
+    rng, n = np.random.default_rng(114), 200
     presets = [lat.preset_basis(name) for name in ("rectangular:4.0", "square", "hexagonal")]
     infos = [lat.classify_eigenspace(b) for b in presets]
     worst = 0.0
@@ -198,9 +198,9 @@ def check_lattice_invariance(n: int = 200, seed: int = 114) -> CheckResult:
                        f"{n} lattices, worst lambda1 error {worst:.2e}")
 
 
-def check_spectral_transforms(seed: int = 103) -> CheckResult:
-    """Round trip, Parseval, Green symmetry/positivity, velocity identities."""
-    rng = np.random.default_rng(seed)
+def check_spectral_transforms() -> CheckResult:
+    """Round trip, Parseval, Green, velocity identities; 10 fields a preset, seed 103."""
+    rng = np.random.default_rng(103)
     problems = []
     for name in ("square", "hexagonal", "rectangular:4.0"):
         basis = lat.preset_basis(name)
@@ -240,14 +240,14 @@ def check_spectral_transforms(seed: int = 103) -> CheckResult:
                        problems[0] if problems else "round trip, Parseval, Green, velocity ok")
 
 
-def check_energy_enstrophy_gap(n: int = 200, seed: int = 104) -> CheckResult:
-    """Gap nonnegative on random fields; vanishes on first-eigenspace states."""
-    rng = np.random.default_rng(seed)
+def check_energy_enstrophy_gap() -> CheckResult:
+    """Gap >= 0 on 200 random fields, 0 on 50 eigenstates; hexagonal 64^2, seed 104."""
+    rng = np.random.default_rng(104)
     basis = lat.preset_basis("hexagonal")
     grid = sp.Grid(basis, 64, 64)
     info = lat.classify_eigenspace(basis)
     min_gap, worst_e1 = 0.0, 0.0
-    for i in range(n):
+    for i in range(200):
         f = sp.random_mean_zero_field(grid, rng)
         min_gap = min(min_gap, sp.energy_enstrophy_gap(f))
         if i < 50:
@@ -261,16 +261,17 @@ def check_energy_enstrophy_gap(n: int = 200, seed: int = 104) -> CheckResult:
                        f"min gap {min_gap:.2e}, eigenspace gap/enstrophy {worst_e1:.2e}")
 
 
-def check_poincare(n: int = 200, seed: int = 105) -> CheckResult:
-    """lambda1 * ||u||^2 <= ||grad u||^2, equality on the first eigenspace."""
-    rng = np.random.default_rng(seed)
+def check_poincare() -> CheckResult:
+    """lambda1 * ||u||^2 <= ||grad u||^2 on 200 random fields, equality on 50
+    eigenstates; hexagonal 64^2, seed 105."""
+    rng = np.random.default_rng(105)
     basis = lat.preset_basis("hexagonal")
     grid = sp.Grid(basis, 64, 64)
     info = lat.classify_eigenspace(basis)
     t = sp.modes(grid)
     lam1 = info.lambda1
     worst_violation, worst_eq = 0.0, 0.0
-    for i in range(n):
+    for i in range(200):
         u = sp.random_mean_zero_field(grid, rng)
         U = t.weight * np.abs(sp.analyze(u).coeffs) ** 2
         l2 = grid.area * float(np.sum(U))
@@ -288,14 +289,14 @@ def check_poincare(n: int = 200, seed: int = 105) -> CheckResult:
                        f"violation {worst_violation:.2e}, equality defect {worst_eq:.2e}")
 
 
-def check_moment_certification(n: int = 100, seed: int = 106) -> CheckResult:
-    """Quadrature moments equal the bracket polynomials, and a least-squares
-    fit over random states recovers the cross-term pattern 4 / 9 / 27 / 18."""
-    rng = np.random.default_rng(seed)
+def check_moment_certification() -> CheckResult:
+    """Quadrature moments equal the bracket polynomials, and a least-squares fit
+    over 100 hexagonal states (seed 106) recovers the pattern 4 / 9 / 27 / 18."""
+    rng = np.random.default_rng(106)
     info = lat.classify_eigenspace(lat.preset_basis("hexagonal"))
     kappa = {2: 0.5, 3: 1.5, 4: 0.375, 6: 5.0 / 16.0}
     states, worst = [], 0.0
-    for _ in range(n):
+    for _ in range(100):
         c = _random_state(rng, info, zero_frac=0.0)
         states.append(c)
         for m in (2, 3, 4, 6):
@@ -335,9 +336,9 @@ def check_moment_certification(n: int = 100, seed: int = 106) -> CheckResult:
                        f"oracle vs bracket {worst:.2e}, pattern fit {fit_err:.2e}")
 
 
-def check_cubic_roundtrip(n: int = 500, seed: int = 107) -> CheckResult:
-    """Candidate enumeration recovers random generating triples (at most 6)."""
-    rng = np.random.default_rng(seed)
+def check_cubic_roundtrip() -> CheckResult:
+    """Candidate enumeration recovers 500 random triples (at most 6), seed 107."""
+    rng, n = np.random.default_rng(107), 500
     spot = cn.forward_moments(1.0, 2.0, 3.0)
     if spot != (6.0, 58.0, 630.0):
         return CheckResult("cubic-roundtrip", False, f"spot instance gave {spot}")
@@ -366,11 +367,11 @@ def check_cubic_roundtrip(n: int = 500, seed: int = 107) -> CheckResult:
                        f"{n} triples, worst recovery {worst:.2e}, max count {biggest}")
 
 
-def check_census_factored_cubic(n: int = 2000, seed: int = 112) -> CheckResult:
+def check_census_factored_cubic() -> CheckResult:
     """The moment cubic of a hexagonal reference is 3 (x - A1^2)(x - A2^2)(x - A3^2)
-    to 1e-12 relative, zero and tied amplitudes included: the identity that
-    lets the census read its candidates off the reference's amplitudes."""
-    rng = np.random.default_rng(seed)
+    to 1e-12 relative over 2000 references (seed 112), zero and tied amplitudes
+    included: the identity that lets the census read its candidates off them."""
+    rng, n = np.random.default_rng(112), 2000
     info = lat.classify_eigenspace(lat.preset_basis("hexagonal"))
     worst = 0.0
     for _ in range(n):
@@ -383,9 +384,9 @@ def check_census_factored_cubic(n: int = 2000, seed: int = 112) -> CheckResult:
                        f"{n} references, worst coefficient error {worst:.2e}")
 
 
-def check_census_bounds(n: int = 200, seed: int = 108) -> CheckResult:
-    """Census size bounds 1 / 2 / 12 and reference membership per dimension."""
-    rng = np.random.default_rng(seed)
+def check_census_bounds() -> CheckResult:
+    """Census bounds 1 / 2 / 12 and membership, 200 references a dimension, seed 108."""
+    rng, n = np.random.default_rng(108), 200
     for dim in (2, 4, 6):
         for i in range(n):
             basis = _random_dim_basis(rng, dim)
@@ -409,9 +410,9 @@ def check_census_bounds(n: int = 200, seed: int = 108) -> CheckResult:
     return CheckResult("census-bounds", True, f"{n} references per dimension")
 
 
-def check_orbit_equivalence(n: int = 500, seed: int = 109) -> CheckResult:
-    """same_orbit agrees with the constructive translation solve."""
-    rng = np.random.default_rng(seed)
+def check_orbit_equivalence() -> CheckResult:
+    """same_orbit agrees with solve_translation on 500 pairs a dimension, seed 109."""
+    rng, n = np.random.default_rng(109), 500
     for dim in (2, 4, 6):
         basis = _random_dim_basis(rng, dim)
         info = lat.classify_eigenspace(basis)
@@ -436,10 +437,10 @@ def check_orbit_equivalence(n: int = 500, seed: int = 109) -> CheckResult:
     return CheckResult("orbit-equivalence", True, f"{n} pairs per dimension, zero disagreements")
 
 
-def check_orbit_distance(seed: int = 110) -> CheckResult:
+def check_orbit_distance() -> CheckResult:
     """Forward-shift recovery (L^p for p in 1, 1.5, 2, 3, 4, 6) and Parseval
-    orthogonality of orbit_distance."""
-    rng = np.random.default_rng(seed)
+    orthogonality of orbit_distance on 10 hexagonal 64^2 states (seed 110)."""
+    rng = np.random.default_rng(110)
     basis = lat.preset_basis("hexagonal")
     info = lat.classify_eigenspace(basis)
     grid = sp.Grid(basis, 64, 64)
@@ -474,15 +475,14 @@ def check_orbit_distance(seed: int = 110) -> CheckResult:
                        problems[0] if problems else "shift recovery and orthogonality ok")
 
 
-def check_time_reversal(n_steps: int = 50, resolution: int = 64,
-                        seed: int = 113) -> CheckResult:
+def check_time_reversal() -> CheckResult:
     """An RK4 step backwards in time from the negated state is the negated
-    forward step, bit for bit, over 50 steps on hexagonal 64^2: the tendency
-    is quadratic in the state, so every stage of (-c, -dt) negates exactly."""
-    rng = np.random.default_rng(seed)
+    forward step, bit for bit, over 50 steps on hexagonal 64^2 (seed 113): the
+    tendency is quadratic in the state, so each stage of (-c, -dt) negates exactly."""
+    rng, n_steps = np.random.default_rng(113), 50
     basis = lat.preset_basis("hexagonal")
     info = lat.classify_eigenspace(basis)
-    grid = sp.Grid(basis, resolution, resolution)
+    grid = sp.Grid(basis, 64, 64)
     w = eig.synthesize_eigenstate(_random_state(rng, info, zero_frac=0.0), grid).samples
     F = sp.analyze(sp.RealField(grid, w + 0.05 * sp.random_mean_zero_field(grid, rng).samples))
     kernel = euler._Kernel(grid)
@@ -495,16 +495,16 @@ def check_time_reversal(n_steps: int = 50, resolution: int = 64,
         if not np.array_equal(backward, -forward):
             err = float(np.max(np.abs(backward + forward)))
             return CheckResult("time-reversal", False, f"step {i + 1}: differs by {err:.2e}")
-    return CheckResult("time-reversal", True, f"{n_steps} steps at {resolution}^2, bitwise")
+    return CheckResult("time-reversal", True, f"{n_steps} steps at {grid.n1}^2, bitwise")
 
 
-def check_rhs_forms(resolution: int = 64, seed: int = 115) -> CheckResult:
+def check_rhs_forms() -> CheckResult:
     """``rhs``, which takes the quadratic form, agrees with the advective
     form -(v . grad omega), built from sample-space products, to 1e-13
-    relative on a random two-thirds masked state on hexagonal 64^2."""
-    grid = sp.Grid(lat.preset_basis("hexagonal"), resolution, resolution)
+    relative on a random two-thirds masked state on hexagonal 64^2 (seed 115)."""
+    grid = sp.Grid(lat.preset_basis("hexagonal"), 64, 64)
     table = sp.modes(grid)
-    c = sp.analyze(sp.random_mean_zero_field(grid, np.random.default_rng(seed))).coeffs
+    c = sp.analyze(sp.random_mean_zero_field(grid, np.random.default_rng(115))).coeffs
     c *= table.dealias
     c[0, 0] = 0.0
     F = sp.SpectralField(grid, c)
@@ -516,7 +516,7 @@ def check_rhs_forms(resolution: int = 64, seed: int = 115) -> CheckResult:
     quadratic = euler.rhs(F).coeffs
     err = float(np.linalg.norm(quadratic - advective) / np.linalg.norm(advective))
     return CheckResult("rhs-forms", err <= 1e-13,
-                       f"quadratic vs advective form at {resolution}^2: {err:.2e}")
+                       f"quadratic vs advective form at {grid.n1}^2: {err:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +532,16 @@ def _two_mode_state(grid: sp.Grid, c1: float, c2: float) -> sp.SpectralField:
     return sp.SpectralField(grid, c)
 
 
-def check_solver_steadiness(n_states: int = 3, resolution: int = 128,
-                            seed: int = 111) -> CheckResult:
-    """Eigenstates stay within relative orbit distance 1e-6 up to t = 10."""
-    rng = np.random.default_rng(seed)
+def check_solver_steadiness() -> CheckResult:
+    """Three hexagonal 128^2 eigenstates (two fixed, one random with seed 111)
+    stay within relative orbit distance 1e-6 up to t = 10."""
     basis = lat.preset_basis("hexagonal")
     info = lat.classify_eigenspace(basis)
-    grid = sp.Grid(basis, resolution, resolution)
+    grid = sp.Grid(basis, 128, 128)
     cfg = euler.SolverConfig(grid, dt=1e-2, t_end=10.0, diag_stride=100)
     states = [eig.EigenstateCoeffs(info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
-              eig.EigenstateCoeffs(info, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))]
-    while len(states) < n_states:
-        states.append(_random_state(rng, info, zero_frac=0.0))
+              eig.EigenstateCoeffs(info, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+              _random_state(np.random.default_rng(111), info, zero_frac=0.0)]
     worst = 0.0
     for c in states:
         w0 = eig.synthesize_eigenstate(c, grid)
@@ -554,23 +552,22 @@ def check_solver_steadiness(n_states: int = 3, resolution: int = 128,
                        f"{len(states)} eigenstates, worst relative drift {worst:.2e}")
 
 
-def check_conservation(resolution: int = 128) -> CheckResult:
-    """Energy/enstrophy drift <= 1e-8 and exact mean velocity on a two-mode state."""
-    grid = sp.Grid(lat.preset_basis("hexagonal"), resolution, resolution)
+def check_conservation() -> CheckResult:
+    """Energy/enstrophy drift <= 1e-8 and exact mean velocity, hexagonal 128^2."""
+    grid = sp.Grid(lat.preset_basis("hexagonal"), 128, 128)
     cfg = euler.SolverConfig(grid, dt=1e-2, t_end=5.0, diag_stride=25)
     _, diag = euler.run(cfg, _two_mode_state(grid, 0.1, 0.05))
-    e, z = diag["energy"], diag["enstrophy"]
-    e_drift = float(np.max(np.abs(e - e[0]))) / e[0]
-    z_drift = float(np.max(np.abs(z - z[0]))) / z[0]
+    drifts = euler.admissibility_check(diag).drifts
+    e_drift, z_drift = drifts["energy"], drifts["enstrophy"]
     v_max = float(np.max(np.abs([diag["meanv1"], diag["meanv2"]])))
     ok = e_drift <= 1e-8 and z_drift <= 1e-8 and v_max <= 1e-12
     return CheckResult("conservation", ok,
                        f"energy {e_drift:.2e}, enstrophy {z_drift:.2e}, mean v {v_max:.2e}")
 
 
-def check_rk4_order(resolution: int = 64) -> CheckResult:
-    """Terminal-state error ratio between dt and dt/2 lands in [12, 20]."""
-    grid = sp.Grid(lat.preset_basis("hexagonal"), resolution, resolution)
+def check_rk4_order() -> CheckResult:
+    """Terminal-state error ratio between dt and dt/2 in [12, 20], hexagonal 64^2."""
+    grid = sp.Grid(lat.preset_basis("hexagonal"), 64, 64)
     final = {}
     for dt in (0.05, 0.025, 0.00625):
         cfg = euler.SolverConfig(grid, dt=dt, t_end=1.0)
@@ -586,17 +583,18 @@ def check_rk4_order(resolution: int = 64) -> CheckResult:
                        f"error ratio {ratio:.2f} (errors {e1:.2e} / {e2:.2e})")
 
 
-def check_stability_witness(epsilons=(1e-3, 1e-2), seeds=(1, 2, 3, 4, 5),
-                            resolution: int = 128, t_end: float = 20.0) -> CheckResult:
-    """Perturbed hexagonal eigenstate: orbit distance stays within 10x its
-    initial value and the projected phase invariant moves < 0.1 rad."""
+def check_stability_witness() -> CheckResult:
+    """Perturbed hexagonal eigenstate, epsilons 1e-3 and 1e-2 by seeds 1 to 5
+    at 128^2 up to t = 20: orbit distance stays within 10x its initial value
+    and the projected phase invariant moves < 0.1 rad."""
     basis = lat.preset_basis("hexagonal")
     info = lat.classify_eigenspace(basis)
-    grid = sp.Grid(basis, resolution, resolution)
+    grid = sp.Grid(basis, 128, 128)
     ref = eig.EigenstateCoeffs(info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    cfg = euler.SolverConfig(grid, dt=1e-2, t_end=t_end, diag_stride=50)
+    cfg = euler.SolverConfig(grid, dt=1e-2, t_end=20.0, diag_stride=50)
+    jobs = euler.stability_ensemble(basis, ref, (1e-3, 1e-2), (1, 2, 3, 4, 5), 2.0, cfg)
     worst_amp, worst_theta = 0.0, 0.0
-    for diag in euler.stability_ensemble(basis, ref, epsilons, seeds, 2.0, cfg):
+    for diag in jobs:
         dist, theta = diag["orbit_dist"], diag["theta"]
         amp = float(np.max(dist)) / dist[0]
         dth = np.abs((theta - theta[0] + math.pi) % (2 * math.pi) - math.pi)

@@ -33,43 +33,41 @@ def test_criterion_01_golden_lattice_values():
 
 
 def test_criterion_02_dual_basis_identities():
-    _report(2, check_dual_basis_identities(n=1000))
+    _report(2, check_dual_basis_identities())
 
 
 def test_criterion_03_energy_enstrophy_gap():
-    _report(3, check_energy_enstrophy_gap(n=200))
+    _report(3, check_energy_enstrophy_gap())
 
 
 def test_criterion_04_moment_certification():
-    _report(4, check_moment_certification(n=100))
+    _report(4, check_moment_certification())
 
 
 def test_criterion_05_cubic_roundtrip():
-    _report(5, check_cubic_roundtrip(n=500))
+    _report(5, check_cubic_roundtrip())
 
 
 def test_criterion_06_census_bounds():
-    _report(6, check_census_bounds(n=200))
+    _report(6, check_census_bounds())
 
 
 def test_criterion_07_orbit_equivalence():
-    _report(7, check_orbit_equivalence(n=500))
+    _report(7, check_orbit_equivalence())
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_criterion_08_solver_steadiness():
-    _report(8, check_solver_steadiness(n_states=3, resolution=128))
+    _report(8, check_solver_steadiness())
 
 
 def test_criterion_09_conservation():
-    _report(9, check_conservation(resolution=128))
+    _report(9, check_conservation())
 
 
 def test_criterion_10_stability_witness():
-    _report(10, check_stability_witness(epsilons=(1e-3, 1e-2),
-                                        seeds=(1, 2, 3, 4, 5),
-                                        resolution=128, t_end=20.0))
+    _report(10, check_stability_witness())
 
 
 def test_criterion_11_rk4_order():
-    _report(11, check_rk4_order(resolution=64))
+    _report(11, check_rk4_order())

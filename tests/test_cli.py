@@ -248,7 +248,7 @@ def test_bad_worker_cap_exits_2_before_the_output_directory(tmp_path, capsys, mo
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
-    path = _small_manifest(tmp_path, snapshot_times=(0.0, 0.2))
+    path = _small_manifest(tmp_path, snapshot_times=(0.0, 0.2), epsilons=(), seeds=())
     code, out, _ = run_cli(capsys, "simulate", "--manifest", str(path))
     assert code == 0
     outdir = tmp_path / "out"
@@ -307,37 +307,38 @@ def test_stability_sweep_worker_pool(tmp_path, capsys, monkeypatch):
     assert written["2"] == written["1"]
 
 
-# A 16^2 hexagonal manifest for `simulate`, and one row per manifest key:
-# the manifest with that key set or changed either writes something else
-# (CSV bytes, snapshot files or their location) or exits 2 before any output.
+# A 16^2 hexagonal manifest, and one row per manifest key: the manifest with
+# that key set or changed either writes something else (CSV bytes, file names
+# or their location) or exits 2 before any output.  `stability` runs the base
+# with one epsilon and one seed added.
 _KEY_BASE = {
     "lattice": {"preset": "hexagonal"},
     "grid": {"n1": "16", "n2": "16"},
     "solver": {"dt": "0.05", "t_end": "0.2", "diag_stride": "2"},
     "experiment": {"reference": "1 0 0.5 1 0.25 2", "p_norm": "2.0", "output_dir": "out"},
 }
-_KEY_ROWS = {  # key: (the value it is set to, whether `simulate` exits 2)
-    "lattice.preset": ("square", True),  # whose eigenspace takes 2 reference pairs
-    "lattice.xi": ("6.283185307179586 0", True),  # beside the preset
-    "lattice.eta": ("0 6.283185307179586", True),
-    "grid.n1": ("24", False),
-    "grid.n2": ("24", False),
-    "solver.dt": ("0.1", False),
-    "solver.t_end": ("0.4", False),
-    "solver.diag_stride": ("1", False),
-    "solver.snapshot_times": ("0.1", False),
-    "solver.dealias": ("two_thirds", True),  # not a key
-    "experiment.reference": ("1 0 1 0 1 0", False),
-    "experiment.epsilons": ("0.5", False),
-    "experiment.seeds": ("3", False),
-    "experiment.p_norm": ("4.0", False),
-    "experiment.output_dir": ("elsewhere", False),
+_SWEEP = {"experiment.epsilons": "0.01", "experiment.seeds": "1"}
+_KEY_ROWS = {  # key: (the value it is set to, whether simulate, stability exit 2)
+    "lattice.preset": ("square", True, True),  # whose eigenspace takes 2 reference pairs
+    "lattice.xi": ("6.283185307179586 0", True, True),  # beside the preset
+    "lattice.eta": ("0 6.283185307179586", True, True),
+    "grid.n1": ("24", False, False),
+    "grid.n2": ("24", False, False),
+    "solver.dt": ("0.1", False, False),
+    "solver.t_end": ("0.4", False, False),
+    "solver.diag_stride": ("1", False, False),
+    "solver.snapshot_times": ("0.1", False, True),
+    "solver.dealias": ("two_thirds", True, True),  # not a key
+    "experiment.reference": ("1 0 1 0 1 0", False, False),
+    "experiment.epsilons": ("0.5", True, False),
+    "experiment.seeds": ("3", True, False),
+    "experiment.p_norm": ("4.0", False, False),
+    "experiment.output_dir": ("elsewhere", False, False),
 }
-_DROPPED = "simulate runs the unperturbed eigenstate and drops this key (ROADMAP item 3)"
 
 
-def _simulate_in(run_dir, monkeypatch, capsys, changes):
-    """Exit code of `simulate` on the base manifest with ``changes``, every
+def _run_in(run_dir, monkeypatch, capsys, command, changes):
+    """Exit code of ``command`` on the base manifest with ``changes``, every
     file it wrote under ``run_dir`` by relative path, and the entries there."""
     sections = {name: dict(keys) for name, keys in _KEY_BASE.items()}
     for dotted, value in changes.items():
@@ -348,10 +349,22 @@ def _simulate_in(run_dir, monkeypatch, capsys, changes):
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
         for name, keys in sections.items()))
     monkeypatch.chdir(run_dir)
-    code, _, _ = run_cli(capsys, "simulate", "--manifest", "m.ini")
+    monkeypatch.setenv("TORUS_EULER_THREADS", "1")
+    code, _, _ = run_cli(capsys, command, "--manifest", "m.ini")
     written = {str(p.relative_to(run_dir)): p.read_bytes()
                for p in sorted(run_dir.rglob("*")) if p.is_file() and p.name != "m.ini"}
     return code, written, sorted(p.name for p in run_dir.iterdir())
+
+
+def _assert_used_or_rejected(tmp_path, monkeypatch, capsys, command, base, key, rejected):
+    base_code, base_written, _ = _run_in(tmp_path / "base", monkeypatch, capsys, command, base)
+    assert base_code == 0
+    code, written, entries = _run_in(tmp_path / "row", monkeypatch, capsys, command,
+                                     {**base, key: _KEY_ROWS[key][0]})
+    if rejected:
+        assert code == 2 and entries == ["m.ini"]
+    else:
+        assert code == 0 and written != base_written
 
 
 def test_the_key_table_covers_the_schema():
@@ -359,20 +372,27 @@ def test_the_key_table_covers_the_schema():
                               for key in keys} | {"solver.dealias"}
 
 
-@pytest.mark.parametrize("key", [
-    pytest.param(key, marks=pytest.mark.xfail(strict=True, reason=_DROPPED))
-    if key in ("experiment.epsilons", "experiment.seeds") else key
-    for key in _KEY_ROWS])
+@pytest.mark.parametrize("key", list(_KEY_ROWS))
 def test_every_manifest_key_is_used_or_rejected_by_simulate(tmp_path, monkeypatch,
                                                             capsys, key):
-    value, rejected = _KEY_ROWS[key]
-    base_code, base, _ = _simulate_in(tmp_path / "base", monkeypatch, capsys, {})
-    assert base_code == 0
-    code, written, entries = _simulate_in(tmp_path / "row", monkeypatch, capsys, {key: value})
-    if rejected:
-        assert code == 2 and entries == ["m.ini"]
-    else:
-        assert code == 0 and written != base
+    _assert_used_or_rejected(tmp_path, monkeypatch, capsys, "simulate", {}, key,
+                             _KEY_ROWS[key][1])
+
+
+@pytest.mark.parametrize("key", list(_KEY_ROWS))
+def test_every_manifest_key_is_used_or_rejected_by_stability(tmp_path, monkeypatch,
+                                                             capsys, key):
+    _assert_used_or_rejected(tmp_path, monkeypatch, capsys, "stability", _SWEEP, key,
+                             _KEY_ROWS[key][2])
+
+
+@pytest.mark.parametrize("key", ["epsilons", "seeds"])
+def test_simulate_rejects_the_sweep_keys_before_any_output(tmp_path, capsys, key):
+    path = _small_manifest(tmp_path, **{"epsilons": (), "seeds": (), key: (1,)})
+    code, out, err = run_cli(capsys, "simulate", "--manifest", str(path))
+    assert code == 2
+    assert f"[experiment] {key}" in err and "stability" in err
+    assert out == "" and not (tmp_path / "out").exists()
 
 
 def test_stability_rejects_a_dealias_key_before_any_output(tmp_path, capsys):
@@ -385,7 +405,7 @@ def test_stability_rejects_a_dealias_key_before_any_output(tmp_path, capsys):
 
 
 def test_unhonourable_snapshots_exit_2(tmp_path, capsys):
-    path = _small_manifest(tmp_path, snapshot_times=(0.1, 0.105))
+    path = _small_manifest(tmp_path, snapshot_times=(0.1, 0.105), epsilons=(), seeds=())
     code, _, err = run_cli(capsys, "simulate", "--manifest", str(path))
     assert code == 2
     assert "same step" in err
@@ -407,7 +427,7 @@ def test_fractional_step_count_exits_2_before_any_job(tmp_path, capsys):
 
 def test_blowup_exits_3(tmp_path, capsys):
     path = _small_manifest(tmp_path, reference=(200.0, 0.0, 150.0, 0.0, 0.0, 0.0),
-                           dt=2.0, t_end=20.0, diag_stride=1)
+                           dt=2.0, t_end=20.0, diag_stride=1, epsilons=(), seeds=())
     with pytest.warns(UserWarning):
         code, _, err = run_cli(capsys, "simulate", "--manifest", str(path))
     assert code == 3

@@ -75,9 +75,11 @@ def test_step_preserves_structure(hex_info, hex_grid):
     state = SolverState(0.0, _two_mode_state(hex_grid, hex_info))
     cfg = SolverConfig(hex_grid, dt=1e-2, t_end=1.0)
     out = step(state, cfg)
-    assert out.t == pytest.approx(1e-2)
+    assert out.t == 1e-2
     out.omega.validate()
     assert out.omega.coeffs[0, 0] == 0.0
+    # from a time that is no whole number of steps, a step adds dt
+    assert step(SolverState(0.005, state.omega), cfg).t == 0.005 + 1e-2
 
 
 def test_short_conservation(hex_info, hex_grid):

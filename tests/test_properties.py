@@ -1,8 +1,10 @@
 """Module-level property batteries not already covered by the acceptance suite."""
 
+import inspect
+
 import pytest
 
-from torus_euler import census, euler, lattice
+from torus_euler import census, euler, lattice, verify
 from torus_euler.verify import (
     check_census_factored_cubic,
     check_lattice_invariance,
@@ -30,6 +32,14 @@ def test_property_battery(check):
     assert result.ok, f"{result.name}: {result.detail}"
 
 
+def test_checks_take_no_arguments():
+    """Each check runs its one configuration, so the acceptance suite and
+    `verify --full` run the same inputs."""
+    assert [fn for fn in verify.FAST_CHECKS + verify.FULL_CHECKS
+            if inspect.signature(fn).parameters] == []
+    assert list(inspect.signature(verify._random_basis).parameters) == ["rng"]
+
+
 def test_factored_cubic_check_sees_a_wrong_constant_term(monkeypatch):
     reduce = census.reduce_to_cubic
 
@@ -38,7 +48,7 @@ def test_factored_cubic_check_sees_a_wrong_constant_term(monkeypatch):
         return a, b, c, d * (1.0 + 1e-11)
 
     monkeypatch.setattr(census, "reduce_to_cubic", off)
-    assert not check_census_factored_cubic(n=50).ok
+    assert not check_census_factored_cubic().ok
 
 
 def test_time_reversal_check_sees_a_step_even_in_dt(monkeypatch):
@@ -49,7 +59,7 @@ def test_time_reversal_check_sees_a_step_even_in_dt(monkeypatch):
         c[0, 1] += dt * dt  # the same for dt and -dt, so not reversible
 
     monkeypatch.setattr(euler._Kernel, "step", biased)
-    assert not check_time_reversal(n_steps=3).ok
+    assert not check_time_reversal().ok
 
 
 @pytest.mark.parametrize("term", [0, 1], ids=["dxx-dyy", "dxdy"])
