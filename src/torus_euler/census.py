@@ -31,7 +31,8 @@ from .errors import (
     InternalInvariant,
     UnsupportedMoment,
 )
-from .eigenstate import DEFAULT_ORBIT_TOL, EigenstateCoeffs, _wrap_phase, circ_dist, same_orbit
+from .eigenstate import (DEFAULT_ORBIT_TOL, EigenstateCoeffs, _theta, _wrap_phase, circ_dist,
+                         same_orbit)
 
 __all__ = [
     "MomentData",
@@ -97,10 +98,6 @@ class OrbitCensus:
     dim: int
     representatives: tuple[EigenstateCoeffs, ...]
     count: int
-
-
-def _theta(c: EigenstateCoeffs) -> float:
-    return c.phases[0] + c.phases[1] - c.phases[2]
 
 
 def moment_bracket(c: EigenstateCoeffs, m: int) -> float:

@@ -17,8 +17,8 @@ from .eigenstate import orbit_invariant, same_orbit, synthesize_eigenstate
 from .errors import NumericalBlowup, TorusEulerError
 from .euler import run, stability_ensemble
 from .io import parse_coeffs, write_torf
-from .lattice import LatticeBasis, classify_eigenspace, dual_basis, preset_basis, shortest_vectors
-from .manifest import ExperimentManifest, ManifestError
+from .lattice import classify_eigenspace, dual_basis, shortest_vectors
+from .manifest import ExperimentManifest, ManifestError, lattice_basis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,22 +34,12 @@ def _add_lattice_args(parser: argparse.ArgumentParser):
                         help="second lattice generator")
 
 
-def _basis_from_args(args) -> LatticeBasis:
-    if args.preset and (args.xi or args.eta):
-        raise ManifestError("give either --preset or --xi/--eta, not both")
-    if args.preset:
-        return preset_basis(args.preset)
-    if args.xi is None or args.eta is None:
-        raise ManifestError("a lattice is required: --preset or both --xi and --eta")
-    return LatticeBasis(tuple(args.xi), tuple(args.eta))
-
-
 def _fmt_vec(v) -> str:
     return f"({v[0]:+.12g}, {v[1]:+.12g})"
 
 
 def cmd_lattice_info(args) -> int:
-    basis = _basis_from_args(args)
+    basis = lattice_basis(args.preset, args.xi, args.eta)
     db = dual_basis(basis)
     sv = shortest_vectors(basis)
     info = classify_eigenspace(basis)
@@ -67,7 +57,7 @@ def cmd_lattice_info(args) -> int:
 
 
 def cmd_eigenspace(args) -> int:
-    basis = _basis_from_args(args)
+    basis = lattice_basis(args.preset, args.xi, args.eta)
     info = classify_eigenspace(basis)
     print(f"dim E1  = {info.dim}")
     print(f"lambda1 = {info.lambda1:.12g}")
@@ -80,7 +70,7 @@ def cmd_eigenspace(args) -> int:
 
 
 def cmd_census(args) -> int:
-    basis = _basis_from_args(args)
+    basis = lattice_basis(args.preset, args.xi, args.eta)
     info = classify_eigenspace(basis)
     reference = parse_coeffs(args.coeffs, info)
     out = orbit_census(reference)
@@ -154,9 +144,9 @@ def cmd_stability(args) -> int:
                               seeds=tuple(args.seed or man.seeds))
     if not man.epsilons or not man.seeds:
         raise ManifestError("need at least one epsilon and one seed")
-    # a bad reference, t_end, snapshot time or worker cap fails before any output
-    results = stability_ensemble(man.basis(), man.reference_coeffs(), man.epsilons,
-                                 man.seeds, man.p_norm, man.solver_config())
+    # a bad reference, seed, t_end, snapshot time or worker cap fails before any output
+    results = stability_ensemble(man.reference_coeffs(), man.epsilons, man.seeds,
+                                 man.p_norm, man.solver_config())
     outdir = Path(args.output or man.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for diag in results:
@@ -202,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="translation orbits sharing all moment invariants")
     _add_lattice_args(p)
     p.add_argument("--coeffs", required=True,
-                   help="reference state: 'A1 alpha1 [A2 alpha2 [A3 alpha3]]'")
+                   help="reference state: '[dim] A1 alpha1 [A2 alpha2 [A3 alpha3]]'")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("simulate", help="run a manifest and write diagnostics/snapshots")
@@ -213,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="perturbation experiments around an eigenstate")
     _add_lattice_args(p)
     p.add_argument("--manifest")
-    p.add_argument("--coeffs", help="reference state (without a manifest)")
+    p.add_argument("--coeffs", help="reference state, as for census (without a manifest)")
     p.add_argument("--eps", type=float, action="append",
                    help="perturbation size; repeatable")
     p.add_argument("--seed", type=int, action="append", help="random seed; repeatable")
@@ -226,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--full", action="store_true",
-                   help="include the solver-scale checks (minutes)")
+                   help="include the solver-scale checks")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -74,6 +74,8 @@ class EigenstateCoeffs:
         amps = tuple(float(a) for a in self.amps)
         if any(a < 0 or not math.isfinite(a) for a in amps):
             raise ValueError(f"amplitudes must be finite and nonnegative: {amps}")
+        if not all(map(math.isfinite, self.phases)):
+            raise ValueError(f"phases must be finite: {self.phases}")
         phases = tuple(_wrap_phase(p) if a > 0 else 0.0 for a, p in zip(amps, self.phases))
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "phases", phases)
@@ -155,16 +157,17 @@ def translate_coeffs(c: EigenstateCoeffs, p) -> EigenstateCoeffs:
     return EigenstateCoeffs(c.info, c.amps, phases)
 
 
+def _theta(c: EigenstateCoeffs) -> float:
+    """The 6D phase invariant alpha1 + alpha2 - alpha3, not wrapped."""
+    return c.phases[0] + c.phases[1] - c.phases[2]
+
+
 def orbit_invariant(c: EigenstateCoeffs) -> OrbitInvariant:
     if c.info.dim != 6:
         return OrbitInvariant(c.amps, None)
     prod = c.amps[0] * c.amps[1] * c.amps[2]
-    theta = c.phases[0] + c.phases[1] - c.phases[2]
+    theta = _theta(c)
     return OrbitInvariant(c.amps, prod * complex(math.cos(theta), math.sin(theta)))
-
-
-def _theta(c: EigenstateCoeffs) -> float:
-    return _wrap_phase(c.phases[0] + c.phases[1] - c.phases[2])
 
 
 def same_orbit(c: EigenstateCoeffs, other: EigenstateCoeffs,
@@ -182,7 +185,7 @@ def same_orbit(c: EigenstateCoeffs, other: EigenstateCoeffs,
         prod_a = c.amps[0] * c.amps[1] * c.amps[2]
         prod_b = other.amps[0] * other.amps[1] * other.amps[2]
         if prod_a > tol and prod_b > tol:
-            return circ_dist(_theta(c), _theta(other)) <= tol
+            return circ_dist(_wrap_phase(_theta(c)), _wrap_phase(_theta(other))) <= tol
     return True
 
 

@@ -36,6 +36,7 @@ from .eigenstate import (
     EigenstateCoeffs,
     _orbit_distance_lp,
     _theta,
+    _wrap_phase,
     orbit_distance,
     project_to_e1,
     synthesize_eigenstate,
@@ -298,10 +299,17 @@ def rhs(omega: SpectralField) -> SpectralField:
     return SpectralField(F.grid, kernel.rhs(kernel.project(F.coeffs), out))
 
 
+def _require_grid(F: SpectralField, grid: Grid):
+    """Refuse, not relabel, a field from another torus or resolution."""
+    if F.grid != grid:
+        raise ValueError(f"the field lives on {F.grid}, not on the solver grid {grid}")
+
+
 def step(state: SolverState, config: SolverConfig) -> SolverState:
     """One classical RK4 step of ``run``'s flow, into a new state whose modes
     outside the two-thirds mask are zero.  From a time n dt the new time is
     (n + 1) dt, as ``run`` counts it, so that rounding does not build up."""
+    _require_grid(state.omega, config.grid)
     kernel = _public_kernel(config.grid)
     c = kernel.project(state.omega.coeffs)
     kernel.step(c, config.dt)
@@ -330,7 +338,7 @@ def _diag_row(t, c, w, grid, target, p_norm):
         # the Lp search runs on samples, from the L2 seed on coefficients
         dist, pstar = _orbit_distance_lp(f, F, target, p_norm)
     proj, resid = project_to_e1(F)
-    theta = _theta(proj) if proj.info.dim == 6 and min(proj.amps) > 0 else math.nan
+    theta = _wrap_phase(_theta(proj)) if proj.info.dim == 6 and min(proj.amps) > 0 else math.nan
     return (t, energy(F), enstrophy(F), *(casimir(f, m) for m in (3, 4, 5, 6)),
             0.0, 0.0, dist, *pstar, theta, resid)
 
@@ -346,6 +354,7 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     """
     grid = config.grid
     F0 = _as_spectral(omega0)
+    _require_grid(F0, grid)
     _require_mean_zero(F0)
     kernel = _Kernel(grid)
     c = kernel.project(F0.coeffs)
@@ -423,21 +432,20 @@ def band_limited_perturbation(grid: Grid, rng: np.random.Generator,
     return RealField(grid, g.samples / nrm)
 
 
-def stability_experiment(basis, reference: EigenstateCoeffs, epsilon: float,
+def stability_experiment(reference: EigenstateCoeffs, epsilon: float,
                          perturbation_seed: int, p_norm: float,
                          config: SolverConfig) -> Diagnostics:
     """Perturb an eigenstate and track the distance to its translation orbit.
 
-    The initial datum is the reference state plus epsilon times a seeded
-    random mean-zero field of unit L^p norm, band-limited to |k| <= 3 rho.
-    The returned diagnostics carry the orbit distance, the recovered
-    translation, and the projected phase invariant at every sampled time.
+    The torus is ``config.grid``'s (a reference from another raises
+    ``MixedEigenspace``).  The initial datum is the reference state plus
+    epsilon times a seeded random mean-zero field of unit L^p norm,
+    band-limited to |k| <= 3 rho.  The diagnostics carry the orbit distance,
+    the recovered translation, and the projected phase invariant.
     """
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     grid = config.grid
-    if grid.basis != basis:
-        raise ValueError("config grid lives on a different lattice than `basis`")
     base = synthesize_eigenstate(reference, grid)
     rng = np.random.default_rng(perturbation_seed)
     g = band_limited_perturbation(grid, rng, 3.0 * reference.info.rho, p_norm)
@@ -460,7 +468,7 @@ def _worker_cap() -> int:
     return int(env)
 
 
-def stability_ensemble(basis, reference: EigenstateCoeffs, epsilons, seeds,
+def stability_ensemble(reference: EigenstateCoeffs, epsilons, seeds,
                        p_norm: float, config: SolverConfig):
     """The diagnostics of ``stability_experiment`` for every (epsilon, seed)
     pair, epsilon-major, as an iterator that yields each in that order.
@@ -472,9 +480,9 @@ def stability_ensemble(basis, reference: EigenstateCoeffs, epsilons, seeds,
     jobs = [(eps, seed) for eps in epsilons for seed in seeds]
     workers = min(_worker_cap(), len(jobs))
     if workers <= 1:
-        return (stability_experiment(basis, reference, eps, seed, p_norm, config)
+        return (stability_experiment(reference, eps, seed, p_norm, config)
                 for eps, seed in jobs)
-    return _on_pool(workers, partial(stability_experiment, basis, reference,
+    return _on_pool(workers, partial(stability_experiment, reference,
                                      p_norm=p_norm, config=config), jobs)
 
 

@@ -59,22 +59,14 @@ def format_coeffs(c: EigenstateCoeffs) -> str:
 
 
 def parse_coeffs(line: str, info: EigenspaceInfo) -> EigenstateCoeffs:
-    """Parse a coefficient record against a known eigenspace.
-
-    Accepts either the full record (leading dimension) or just the
-    amplitude/phase pairs.
+    """The one reader of coefficient records (``census --coeffs``,
+    ``stability --coeffs``, a manifest's ``reference``) for a known
+    eigenspace: the full record (leading dimension) or just the
+    amplitude/phase pairs, whose count ``EigenstateCoeffs`` checks.
     """
-    tokens = line.split()
-    if not tokens:
-        raise ValueError("empty coefficient record")
-    if len(tokens) % 2 == 1:
-        dim = int(tokens[0])
+    values = [float(t) for t in line.split()]
+    if len(values) % 2 == 1:
+        dim = values.pop(0)
         if dim != info.dim:
-            raise ValueError(f"record is for dim {dim}, eigenspace has dim {info.dim}")
-        tokens = tokens[1:]
-    values = [float(t) for t in tokens]
-    if len(values) != 2 * info.npairs:
-        raise ValueError(
-            f"expected {info.npairs} amplitude/phase pairs, got {len(values) / 2:g}"
-        )
+            raise ValueError(f"record is for dim {dim:g}, eigenspace has dim {info.dim}")
     return EigenstateCoeffs(info, tuple(values[0::2]), tuple(values[1::2]))

@@ -9,14 +9,25 @@ from pathlib import Path
 
 from .eigenstate import EigenstateCoeffs
 from .euler import SolverConfig
+from .io import parse_coeffs
 from .lattice import LatticeBasis, classify_eigenspace, preset_basis
 from .spectral import Grid
 
-__all__ = ["ExperimentManifest", "ManifestError"]
+__all__ = ["ExperimentManifest", "ManifestError", "lattice_basis"]
 
 
 class ManifestError(ValueError):
     """Malformed or inconsistent manifest content."""
+
+
+def lattice_basis(preset: str | None, xi, eta) -> LatticeBasis:
+    """The torus of a manifest or of the command line: a preset, or both
+    generators xi and eta, not both."""
+    if preset is not None and (xi is not None or eta is not None):
+        raise ManifestError("give a lattice preset or the generators xi and eta, not both")
+    if preset is None and (xi is None or eta is None):
+        raise ManifestError("a lattice needs a preset or both generators xi and eta")
+    return preset_basis(preset) if preset is not None else LatticeBasis(tuple(xi), tuple(eta))
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -77,28 +88,25 @@ class ExperimentManifest:
     t_end: float = 20.0
     diag_stride: int = 10
     snapshot_times: tuple[float, ...] = ()
-    reference: tuple[float, ...] = ()   # flat amplitude/phase pairs
+    reference: tuple[float, ...] = ()   # a coefficient record, as io.parse_coeffs reads it
     epsilons: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
     p_norm: float = 2.0
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.preset is None and (self.xi is None or self.eta is None):
-            raise ManifestError("manifest needs either a lattice preset or xi and eta")
-        if self.preset is not None and (self.xi is not None or self.eta is not None):
-            raise ManifestError("give a preset or explicit generators, not both")
+        self.basis()  # the lattice rule
         if not 1.0 <= self.p_norm < math.inf:
             raise ManifestError(f"p_norm must be finite and >= 1, got {self.p_norm}")
         if not all(0.0 <= eps < math.inf for eps in self.epsilons):
             raise ManifestError(f"epsilons must be finite and >= 0, got {self.epsilons}")
+        if not all(seed >= 0 for seed in self.seeds):
+            raise ManifestError(f"seeds must be >= 0, got {self.seeds}")
 
     # -- lattice / solver objects -------------------------------------------
 
     def basis(self) -> LatticeBasis:
-        if self.preset is not None:
-            return preset_basis(self.preset)
-        return LatticeBasis(self.xi, self.eta)
+        return lattice_basis(self.preset, self.xi, self.eta)
 
     def grid(self) -> Grid:
         return Grid(self.basis(), self.n1, self.n2)
@@ -113,14 +121,10 @@ class ExperimentManifest:
         )
 
     def reference_coeffs(self) -> EigenstateCoeffs:
-        info = classify_eigenspace(self.basis())
-        vals = self.reference
-        if len(vals) != 2 * info.npairs:
-            raise ManifestError(
-                f"reference needs {info.npairs} amplitude/phase pairs for this "
-                f"lattice, got {len(vals) / 2:g}"
-            )
-        return EigenstateCoeffs(info, tuple(vals[0::2]), tuple(vals[1::2]))
+        try:
+            return parse_coeffs(_join(self.reference), classify_eigenspace(self.basis()))
+        except ValueError as exc:
+            raise ManifestError(f"reference state: {exc}") from None
 
     # -- serialization -------------------------------------------------------
 

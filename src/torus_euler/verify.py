@@ -4,7 +4,7 @@ Each check takes no arguments, pins its tolerances and configuration (stated
 in its docstring) and returns a CheckResult; the acceptance tests call the
 same functions.  Fast checks cover the lattice, spectral, moment and orbit
 machinery; the solver-scale checks (steadiness, conservation, stability
-witness, integrator order) run only on request because they take minutes.
+witness, integrator order) run only on request: they take thousands of steps.
 """
 
 from __future__ import annotations
@@ -520,7 +520,7 @@ def check_rhs_forms() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# solver-scale checks (minutes)
+# solver-scale checks
 
 
 def _two_mode_state(grid: sp.Grid, c1: float, c2: float) -> sp.SpectralField:
@@ -592,7 +592,7 @@ def check_stability_witness() -> CheckResult:
     grid = sp.Grid(basis, 128, 128)
     ref = eig.EigenstateCoeffs(info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     cfg = euler.SolverConfig(grid, dt=1e-2, t_end=20.0, diag_stride=50)
-    jobs = euler.stability_ensemble(basis, ref, (1e-3, 1e-2), (1, 2, 3, 4, 5), 2.0, cfg)
+    jobs = euler.stability_ensemble(ref, (1e-3, 1e-2), (1, 2, 3, 4, 5), 2.0, cfg)
     worst_amp, worst_theta = 0.0, 0.0
     for diag in jobs:
         dist, theta = diag["orbit_dist"], diag["theta"]

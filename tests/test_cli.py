@@ -218,7 +218,7 @@ def test_stability_run_defaults_without_a_manifest(tmp_path, capsys, monkeypatch
 
     seen = []
     monkeypatch.setattr(cli, "stability_ensemble",
-                        lambda basis, ref, eps, seeds, p_norm, config:
+                        lambda ref, eps, seeds, p_norm, config:
                         seen.append((config.grid.n1, config.grid.n2, config.dt,
                                      config.t_end, p_norm)) or iter(()))
     code, _, _ = run_cli(capsys, "stability", "--preset", "hexagonal", "--coeffs",
@@ -423,6 +423,101 @@ def test_fractional_step_count_exits_2_before_any_job(tmp_path, capsys):
     assert code == 2
     assert "whole number of steps" in err
     assert not outdir.exists()
+
+
+_LATTICE_CHOICES = {
+    "both": (["--preset", "square", "--xi", "1", "0", "--eta", "0", "1"],
+             dict(preset="square", xi=(1.0, 0.0), eta=(0.0, 1.0))),
+    "half": (["--xi", "1", "0"], dict(xi=(1.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("choice", list(_LATTICE_CHOICES))
+@pytest.mark.parametrize("command", ["lattice-info", "eigenspace", "census", "stability"])
+def test_every_command_applies_the_manifest_lattice_rule(tmp_path, capsys, command, choice):
+    flags, keys = _LATTICE_CHOICES[choice]
+    with pytest.raises(ManifestError) as rule:
+        ExperimentManifest(**keys)
+    extra = [] if command in ("lattice-info", "eigenspace") else ["--coeffs", "1 0 1 0"]
+    if command == "stability":
+        extra += ["--output", str(tmp_path / "never")]
+    code, out, err = run_cli(capsys, command, *flags, *extra)
+    assert code == 2
+    assert err == f"configuration error: {rule.value}\n"
+    assert out == "" and not (tmp_path / "never").exists()
+
+
+_QUICK = ("--eps", "0.01", "--seed", "7", "--resolution", "32", "--dt", "0.02",
+          "--t-end", "0.1")
+_QUICK_MANIFEST = ("[lattice]\npreset = hexagonal\n\n[grid]\nn1 = 32\nn2 = 32\n\n"
+                   "[solver]\ndt = 0.02\nt_end = 0.1\n\n"
+                   "[experiment]\nreference = {}\nepsilons = 0.01\nseeds = 7\n")
+
+
+def test_census_stability_and_manifests_read_one_coefficient_record(tmp_path, capsys):
+    """The record 'dim A1 alpha1 ...' and its bare pairs mean the same state
+    to census, stability --coeffs and a manifest's reference."""
+    outputs = {}
+    for record in ("1 0 1 0 1 0", "6 1 0 1 0 1 0"):
+        code, out, _ = run_cli(capsys, "census", "--preset", "hexagonal", "--coeffs", record)
+        assert code == 0
+        outdir = tmp_path / f"flags-{record}"
+        code, _, err = run_cli(capsys, "stability", "--preset", "hexagonal",
+                               "--coeffs", record, *_QUICK, "--output", str(outdir))
+        assert code == 0, err
+        path = tmp_path / f"{len(record)}.ini"
+        path.write_text(_QUICK_MANIFEST.format(record))
+        mandir = tmp_path / f"manifest-{record}"
+        code, _, err = run_cli(capsys, "stability", "--manifest", str(path),
+                               "--output", str(mandir))
+        assert code == 0, err
+        csv = "stability_eps0.01_seed7.csv"
+        outputs[record] = (out, (outdir / csv).read_bytes(), (mandir / csv).read_bytes())
+    bare, full = outputs.values()
+    assert full == bare
+    assert bare[1] == bare[2]
+
+
+@pytest.mark.parametrize("source", ["flags", "manifest"])
+def test_a_record_for_another_dim_exits_2_before_any_output(tmp_path, capsys, source):
+    outdir = tmp_path / "never"
+    if source == "flags":
+        argv = ["--preset", "hexagonal", "--coeffs", "4 1 0 1 0 1 0", *_QUICK]
+    else:
+        path = tmp_path / "dim4.ini"
+        path.write_text(_QUICK_MANIFEST.format("4 1 0 1 0 1 0"))
+        argv = ["--manifest", str(path)]
+    code, out, err = run_cli(capsys, "stability", *argv, "--output", str(outdir))
+    assert code == 2
+    assert "record is for dim 4, eigenspace has dim 6" in err
+    assert out == "" and not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["census", "stability"])
+def test_a_nan_phase_exits_2_naming_the_phases(tmp_path, capsys, command):
+    outdir = tmp_path / "never"
+    extra = [*_QUICK, "--output", str(outdir)] if command == "stability" else []
+    code, out, err = run_cli(capsys, command, "--preset", "hexagonal",
+                             "--coeffs", "1 0 1 0 1 nan", *extra)
+    assert code == 2
+    assert "phases must be finite" in err
+    assert out == "" and not outdir.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_a_negative_seed_exits_2_before_any_output(tmp_path, capsys, source):
+    outdir = tmp_path / "never"
+    if source == "flag":
+        argv = ["--preset", "hexagonal", "--coeffs", "1 0 1 0 1 0", "--eps", "0.01",
+                "--seed", "-1", "--resolution", "32", "--dt", "0.02", "--t-end", "0.1"]
+    else:
+        path = _small_manifest(tmp_path)
+        path.write_text(path.read_text().replace("seeds = 1\n", "seeds = -1\n"))
+        argv = ["--manifest", str(path)]
+    code, out, err = run_cli(capsys, "stability", *argv, "--output", str(outdir))
+    assert code == 2
+    assert "seeds must be >= 0" in err
+    assert out == "" and not outdir.exists()
 
 
 def test_blowup_exits_3(tmp_path, capsys):

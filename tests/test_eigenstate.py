@@ -47,6 +47,14 @@ def test_coeffs_canonicalization(hex_info):
         EigenstateCoeffs(hex_info, (1.0, 1.0), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("amp", [1.0, 0.0], ids=["active", "inactive"])
+def test_coeffs_reject_a_non_finite_phase(hex_info, phase, amp):
+    """A NaN phase would make a state that is not in its own orbit."""
+    with pytest.raises(ValueError, match="phases must be finite"):
+        EigenstateCoeffs(hex_info, (1.0, 1.0, amp), (0.0, 0.0, phase))
+
+
 def test_synthesize_zero(hex_info, hex_grid):
     w = synthesize_eigenstate(
         EigenstateCoeffs(hex_info, (0, 0, 0), (0, 0, 0)), hex_grid)

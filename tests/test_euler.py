@@ -15,9 +15,11 @@ from torus_euler import (
     SpectralField,
     admissibility_check,
     analyze,
+    classify_eigenspace,
     energy,
     enstrophy,
     green_apply,
+    preset_basis,
     project_to_e1,
     rhs,
     run,
@@ -178,7 +180,7 @@ def test_stability_experiment_zero_epsilon(hex_info, hex_basis):
     grid = Grid(hex_basis, 64, 64)
     ref = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     cfg = SolverConfig(grid, dt=1e-2, t_end=1.0, diag_stride=20)
-    diag = stability_experiment(hex_basis, ref, 0.0, 1, 2.0, cfg)
+    diag = stability_experiment(ref, 0.0, 1, 2.0, cfg)
     assert np.max(diag["orbit_dist"]) <= 1e-6
     assert diag.meta["seed"] == 1
 
@@ -187,7 +189,7 @@ def test_stability_experiment_tracks_theta(hex_info, hex_basis):
     grid = Grid(hex_basis, 64, 64)
     ref = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     cfg = SolverConfig(grid, dt=1e-2, t_end=0.5, diag_stride=10)
-    diag = stability_experiment(hex_basis, ref, 1e-2, 3, 2.0, cfg)
+    diag = stability_experiment(ref, 1e-2, 3, 2.0, cfg)
     assert np.all(np.isfinite(diag["theta"]))
     drift = np.abs((diag["theta"] - diag["theta"][0] + math.pi) % (2 * math.pi) - math.pi)
     assert np.max(drift) < 0.05
@@ -201,7 +203,7 @@ def test_stability_ensemble_pool_is_bitwise_the_serial_run(hex_info, hex_basis, 
     runs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("TORUS_EULER_THREADS", threads)
-        runs[threads] = list(stability_ensemble(hex_basis, ref, (1e-2, 1e-3), (1, 2), 2.0, cfg))
+        runs[threads] = list(stability_ensemble(ref, (1e-2, 1e-3), (1, 2), 2.0, cfg))
     assert [(d.meta["epsilon"], d.meta["seed"]) for d in runs["2"]] == [
         (1e-2, 1), (1e-2, 2), (1e-3, 1), (1e-3, 2)]
     for serial, pooled in zip(runs["1"], runs["2"], strict=True):
@@ -220,8 +222,8 @@ def test_stability_ensemble_runs_in_process_on_one_worker_or_job(monkeypatch, th
     calls = []
     monkeypatch.setattr(euler, "stability_experiment", lambda *job: calls.append(job) or job)
     monkeypatch.setenv("TORUS_EULER_THREADS", threads)
-    out = list(euler.stability_ensemble("basis", "ref", epsilons, seeds, 2.0, "cfg"))
-    assert out == calls == [("basis", "ref", eps, seed, 2.0, "cfg")
+    out = list(euler.stability_ensemble("ref", epsilons, seeds, 2.0, "cfg"))
+    assert out == calls == [("ref", eps, seed, 2.0, "cfg")
                             for eps in epsilons for seed in seeds]
 
 
@@ -248,6 +250,23 @@ def test_run_rejects_nonzero_mean(hex_grid):
     cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.1)
     with pytest.raises(NonZeroMean):
         run(cfg, bad)
+
+
+@pytest.mark.parametrize("preset,n", [("square", 64), ("hexagonal", 48)],
+                         ids=["other-torus", "other-resolution"])
+def test_run_and_step_refuse_a_field_from_another_grid(hex_grid, preset, n):
+    """The torus and resolution are config.grid's: a field sampled on any
+    other grid is refused before a step, not integrated as a hexagonal
+    64^2 field."""
+    other = Grid(preset_basis(preset), n, n)
+    info = classify_eigenspace(other.basis)
+    F = analyze(synthesize_eigenstate(
+        EigenstateCoeffs(info, (1.0,) * info.npairs, (0.0,) * info.npairs), other))
+    cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.1)
+    with pytest.raises(ValueError, match="not on the solver grid"):
+        run(cfg, F)
+    with pytest.raises(ValueError, match="not on the solver grid"):
+        step(SolverState(0.0, F), cfg)
 
 
 def test_config_validation(hex_grid):

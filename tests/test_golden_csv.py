@@ -41,7 +41,7 @@ def test_stability_csv_bytes(preset, p_norm):
     info = classify_eigenspace(basis)
     ref = EigenstateCoeffs(info, (1.0, 0.7, 0.5)[:info.npairs], (0.3, 1.1, -0.4)[:info.npairs])
     config = SolverConfig(Grid(basis, 32, 32), dt=1e-2, t_end=0.5, diag_stride=10)
-    diag = stability_experiment(basis, ref, 1e-2, 7, p_norm, config)
+    diag = stability_experiment(ref, 1e-2, 7, p_norm, config)
     out = io.StringIO()
     diag.to_csv(out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[preset, p_norm]
