@@ -16,7 +16,7 @@ from .census import CENSUS_BOUNDS, linf_datum, orbit_census
 from .eigenstate import orbit_invariant, same_orbit, synthesize_eigenstate
 from .errors import NumericalBlowup, TorusEulerError
 from .euler import run, stability_ensemble
-from .io import parse_coeffs, write_torf
+from .io import parse_coeffs, record_values, write_torf
 from .lattice import classify_eigenspace, dual_basis, shortest_vectors
 from .manifest import ExperimentManifest, ManifestError, lattice_basis
 
@@ -138,7 +138,7 @@ def cmd_stability(args) -> int:
             preset=args.preset,
             xi=args.xi and tuple(args.xi),
             eta=args.eta and tuple(args.eta),
-            reference=tuple(float(v) for v in args.coeffs.split()),
+            reference=record_values(args.coeffs),
         )
     man = dataclasses.replace(man, epsilons=tuple(args.eps or man.epsilons),
                               seeds=tuple(args.seed or man.seeds))

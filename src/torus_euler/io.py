@@ -12,7 +12,7 @@ from .errors import ShapeMismatch
 from .lattice import EigenspaceInfo, LatticeBasis
 from .spectral import Grid, RealField
 
-__all__ = ["write_torf", "read_torf", "format_coeffs", "parse_coeffs"]
+__all__ = ["write_torf", "read_torf", "format_coeffs", "parse_coeffs", "record_values"]
 
 TORF_MAGIC = b"TORF"
 TORF_VERSION = 1
@@ -58,15 +58,20 @@ def format_coeffs(c: EigenstateCoeffs) -> str:
     return " ".join(parts)
 
 
-def parse_coeffs(line: str, info: EigenspaceInfo) -> EigenstateCoeffs:
-    """The one reader of coefficient records (``census --coeffs``,
-    ``stability --coeffs``, a manifest's ``reference``) for a known
-    eigenspace: the full record (leading dimension) or just the
-    amplitude/phase pairs, whose count ``EigenstateCoeffs`` checks.
-    """
-    values = [float(t) for t in line.split()]
+def record_values(line: str) -> tuple[float, ...]:
+    """The numbers of a coefficient record; an odd count leads with the integer dim."""
+    tokens = line.split()
+    head = (int(tokens.pop(0)),) if len(tokens) % 2 == 1 else ()
+    return head + tuple(float(t) for t in tokens)
+
+
+def parse_coeffs(record: str | tuple[float, ...], info: EigenspaceInfo) -> EigenstateCoeffs:
+    """The one reader of coefficient records (``census --coeffs``, ``stability
+    --coeffs``, a manifest's ``reference``), as text or ``record_values``: the
+    full record (leading dim) or just the pairs, whose count EigenstateCoeffs checks."""
+    values = record_values(record) if isinstance(record, str) else record
     if len(values) % 2 == 1:
-        dim = values.pop(0)
+        dim, values = values[0], values[1:]
         if dim != info.dim:
-            raise ValueError(f"record is for dim {dim:g}, eigenspace has dim {info.dim}")
+            raise ValueError(f"record is for dim {dim}, eigenspace has dim {info.dim}")
     return EigenstateCoeffs(info, tuple(values[0::2]), tuple(values[1::2]))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .eigenstate import EigenstateCoeffs
 from .euler import SolverConfig
-from .io import parse_coeffs
+from .io import parse_coeffs, record_values
 from .lattice import LatticeBasis, classify_eigenspace, preset_basis
 from .spectral import Grid
 
@@ -57,7 +57,7 @@ _SCHEMA = {
     "grid": {"n1": (int, str), "n2": (int, str)},
     "solver": {"dt": (float, str), "t_end": (float, str), "diag_stride": (int, str),
                "snapshot_times": (_floats, _join)},
-    "experiment": {"reference": (_floats, _join), "epsilons": (_floats, _join),
+    "experiment": {"reference": (record_values, _join), "epsilons": (_floats, _join),
                    "seeds": (_ints, _join), "p_norm": (float, str), "output_dir": (str, str)},
 }
 
@@ -88,7 +88,7 @@ class ExperimentManifest:
     t_end: float = 20.0
     diag_stride: int = 10
     snapshot_times: tuple[float, ...] = ()
-    reference: tuple[float, ...] = ()   # a coefficient record, as io.parse_coeffs reads it
+    reference: tuple[float, ...] = ()   # a coefficient record, as io.record_values reads it
     epsilons: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
     p_norm: float = 2.0
@@ -122,7 +122,7 @@ class ExperimentManifest:
 
     def reference_coeffs(self) -> EigenstateCoeffs:
         try:
-            return parse_coeffs(_join(self.reference), classify_eigenspace(self.basis()))
+            return parse_coeffs(self.reference, classify_eigenspace(self.basis()))
         except ValueError as exc:
             raise ManifestError(f"reference state: {exc}") from None
 

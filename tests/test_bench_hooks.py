@@ -40,3 +40,37 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert spectral.analyze is analyze and euler.step is step
+
+
+def _traced_stability_metrics():
+    """Layer metrics of one traced short ``stability_experiment`` on the
+    stability-hex128 problem (t_end 0.06, a diagnostic row every 2 steps)."""
+    import dataclasses
+
+    from torus_euler import euler
+    from torus_euler.manifest import ExperimentManifest
+
+    spec = dataclasses.replace(workloads.STABILITY["stability-hex128"], t_end=0.06,
+                               diag_stride=2)
+    man = ExperimentManifest.from_text(spec.manifest_text(spec.t_end))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        tracer.root("cli.main", 0, euler.stability_experiment, man.reference_coeffs(),
+                    0.01, 3, 2.0, man.solver_config())
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    return tracing.layer_metrics(tracer.spans, 1)
+
+
+def test_traced_stability_metrics_repeat():
+    """The six count metrics of two traced runs of the same job agree, and
+    the job writes its 4 diagnostic rows."""
+    keys = ["spectral.fft.per_step", "spectral.fft.per_diag_row",
+            "spectral.analyze.per_diag_row", "lattice.classify_eigenspace.per_diag_row",
+            "euler.diag.rows", "spectral.fft.per_op"]
+    first, second = _traced_stability_metrics(), _traced_stability_metrics()
+    assert {k: first[k] for k in keys} == {k: second[k] for k in keys}
+    assert first["euler.diag.rows"] == 4

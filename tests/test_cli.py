@@ -433,18 +433,16 @@ _LATTICE_CHOICES = {
 
 
 @pytest.mark.parametrize("choice", list(_LATTICE_CHOICES))
-@pytest.mark.parametrize("command", ["lattice-info", "eigenspace", "census", "stability"])
-def test_every_command_applies_the_manifest_lattice_rule(tmp_path, capsys, command, choice):
+@pytest.mark.parametrize("command", ["lattice-info", "eigenspace", "census"])
+def test_every_command_applies_the_manifest_lattice_rule(capsys, command, choice):
     flags, keys = _LATTICE_CHOICES[choice]
     with pytest.raises(ManifestError) as rule:
         ExperimentManifest(**keys)
-    extra = [] if command in ("lattice-info", "eigenspace") else ["--coeffs", "1 0 1 0"]
-    if command == "stability":
-        extra += ["--output", str(tmp_path / "never")]
+    extra = ["--coeffs", "1 0 1 0"] if command == "census" else []
     code, out, err = run_cli(capsys, command, *flags, *extra)
     assert code == 2
     assert err == f"configuration error: {rule.value}\n"
-    assert out == "" and not (tmp_path / "never").exists()
+    assert out == ""
 
 
 _QUICK = ("--eps", "0.01", "--seed", "7", "--resolution", "32", "--dt", "0.02",
@@ -478,18 +476,26 @@ def test_census_stability_and_manifests_read_one_coefficient_record(tmp_path, ca
     assert bare[1] == bare[2]
 
 
-@pytest.mark.parametrize("source", ["flags", "manifest"])
-def test_a_record_for_another_dim_exits_2_before_any_output(tmp_path, capsys, source):
-    outdir = tmp_path / "never"
-    if source == "flags":
-        argv = ["--preset", "hexagonal", "--coeffs", "4 1 0 1 0 1 0", *_QUICK]
+@pytest.mark.parametrize("dim, message", [
+    ("4", "record is for dim 4, eigenspace has dim 6"),
+    ("6.0", "invalid literal for int() with base 10: '6.0'"),
+])
+@pytest.mark.parametrize("source", ["census", "flags", "manifest"])
+def test_a_wrong_or_non_integer_dim_exits_2_before_any_output(tmp_path, capsys, source,
+                                                              dim, message):
+    record, outdir = f"{dim} 1 0 1 0 1 0", tmp_path / "never"
+    if source == "census":
+        argv = ["census", "--preset", "hexagonal", "--coeffs", record]
+    elif source == "flags":
+        argv = ["stability", "--preset", "hexagonal", "--coeffs", record, *_QUICK,
+                "--output", str(outdir)]
     else:
-        path = tmp_path / "dim4.ini"
-        path.write_text(_QUICK_MANIFEST.format("4 1 0 1 0 1 0"))
-        argv = ["--manifest", str(path)]
-    code, out, err = run_cli(capsys, "stability", *argv, "--output", str(outdir))
+        path = tmp_path / "dim.ini"
+        path.write_text(_QUICK_MANIFEST.format(record))
+        argv = ["stability", "--manifest", str(path), "--output", str(outdir)]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "record is for dim 4, eigenspace has dim 6" in err
+    assert message in err
     assert out == "" and not outdir.exists()
 
 

@@ -119,3 +119,17 @@ def test_manifest_errors():
     man = ExperimentManifest(preset="hexagonal", reference=(1.0, 0.0))
     with pytest.raises(ManifestError):
         man.reference_coeffs()  # needs 3 pairs on the hexagonal torus
+
+
+def test_manifest_reference_keeps_the_record_dim(hex_info):
+    """A manifest holds the numbers of its reference record, with the
+    leading dim an integer, and reads them without a second parse."""
+    man = ExperimentManifest.from_text(
+        "[lattice]\npreset = hexagonal\n\n[experiment]\nreference = 6 1 0 1 0 1 0\n")
+    assert man.reference == (6, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
+    assert type(man.reference[0]) is int
+    assert ExperimentManifest.from_text(man.to_text()) == man
+    assert man.reference_coeffs() == parse_coeffs("1 0 1 0 1 0", hex_info)
+    with pytest.raises(ManifestError, match="bad manifest value"):
+        ExperimentManifest.from_text(
+            "[lattice]\npreset = hexagonal\n\n[experiment]\nreference = 6.0 1 0 1 0 1 0\n")
