@@ -259,22 +259,13 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
     w = amps * r  # cosine weights
     if c.info.dim < 6:
         t_opt = -beta
-    elif np.min(w) == 0.0:
-        # a silent mode decouples the phases: align the active ones exactly
-        t12 = np.array([-beta[0], -beta[1]])
-        if w[2] > 0.0:
-            if w[0] == 0.0:
-                t12[0] = -beta[2] - t12[1]
-            elif w[1] == 0.0:
-                t12[1] = -beta[2] - t12[0]
-        t_opt = np.array([t12[0], t12[1], t12[0] + t12[1]])
     else:
         # For fixed t1 the best t2 merges the last two cosines into one of
         # amplitude |z(t1)|, z = w1 e^{i beta1} + w2 e^{i (beta2 + t1)}, which
         # leaves h(t1) = w0 cos(beta0 + t1) + |z(t1)| to maximize: a 64-point
-        # scan, then Newton steps on h' kept inside the bracket around the
-        # best point, bisecting where a step would leave it or h'' >= 0.  A
-        # flat maximum, where Newton alone stalls, is found by the bisection.
+        # scan, then Newton steps on h' inside the bracket around the best
+        # point, bisecting where a step would leave it or h'' >= 0: that finds
+        # flat maxima too, where Newton stalls, and zero weights need no case.
         w12 = w[1] * w[2]
 
         def slope(t):

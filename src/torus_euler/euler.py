@@ -373,20 +373,17 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     rows, snapshots = [], []
     meta = dict(meta or {})
     meta.setdefault("area", grid.area)
-    w0 = kernel.samples(c)
-    rows.append(_diag_row(0.0, c, w0, grid, target, p_norm))
-    if 0 in snap_steps:
-        snapshots.append((0.0, RealField(grid, w0.copy())))
-    max0 = max(float(np.max(np.abs(w0))), 1e-300)
-
-    for istep in range(1, n_steps + 1):
-        kernel.step(c, config.dt)
+    for istep in range(n_steps + 1):
+        if istep > 0:
+            kernel.step(c, config.dt)
         t = istep * config.dt
         if istep in snap_steps:
             snapshots.append((t, RealField(grid, kernel.samples(c))))
         if istep % config.diag_stride == 0 or istep == n_steps:
             w = kernel.samples(c)
             maxw = float(np.max(np.abs(w)))
+            if not rows:
+                max0 = max(maxw, 1e-300)
             if not math.isfinite(maxw) or maxw > BLOWUP_FACTOR * max0:
                 raise NumericalBlowup(
                     f"max |omega| reached {maxw:.3e} at t = {t:g}",

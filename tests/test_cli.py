@@ -47,13 +47,18 @@ def test_explicit_basis_args(capsys):
     assert "dim E1    = 2" in out
 
 
-def test_census_command(capsys):
-    code, out, _ = run_cli(capsys, "census", "--preset", "hexagonal",
-                           "--coeffs", "1 0 1 0 1 0")
+@pytest.mark.parametrize("preset,coeffs", [("hexagonal", "1 0 1 0 1 0"), ("square", "1 0 0.5 1")],
+                         ids=["hexagonal", "square"])
+def test_census_command(capsys, preset, coeffs):
+    code, out, _ = run_cli(capsys, "census", "--preset", preset, "--coeffs", coeffs)
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("rep=")]
     assert 1 <= len(lines) <= 12
     assert any("reference_orbit=true" in ln for ln in lines)
+    if preset == "square":
+        # the 4-D census prints its sup-norm datum and has no phase invariant
+        assert "# sup-norm cross-check: reference A1+A2 = 1.5" in out.splitlines()
+        assert all(" invariant=0.0,0.0 " in ln for ln in lines)
 
 
 def test_unknown_flag_exits_2():

@@ -180,6 +180,26 @@ def test_mixed_eigenspace_rejected(hex_info, square_info):
         same_orbit(a, b)
 
 
+@pytest.mark.parametrize("xi_scale,eta_scale,same", [
+    (1.0 + 2e-16, 1.0, True),     # the same torus to rounding
+    (1.0 + 1e-6, 1.0, False),     # no longer hexagonal: a 2-D eigenspace
+    (1.0 + 1e-6, 1.0 + 1e-6, False),  # hexagonal, but lambda1 moves by 2e-6
+], ids=["rounding", "sheared", "scaled"])
+def test_compatible_across_classifications(hex_basis, hex_info, xi_scale, eta_scale, same):
+    basis = LatticeBasis((hex_basis.xi[0] * xi_scale, hex_basis.xi[1]),
+                         tuple(e * eta_scale for e in hex_basis.eta))
+    info = classify_eigenspace(basis)
+    assert info is not hex_info
+    assert info.compatible(hex_info) is same
+    a = EigenstateCoeffs(hex_info, (1.0, 0.5, 0.2), (0.0, 1.0, 2.0))
+    b = EigenstateCoeffs(info, a.amps[:info.npairs], a.phases[:info.npairs])
+    if same:
+        assert same_orbit(a, b) and same_orbit(b, a)
+    else:
+        with pytest.raises(MixedEigenspace):
+            same_orbit(a, b)
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_translation_group_action(data):

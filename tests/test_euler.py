@@ -26,6 +26,7 @@ from torus_euler import (
     stability_ensemble,
     stability_experiment,
     step,
+    synthesize,
     synthesize_eigenstate,
 )
 from torus_euler.euler import band_limited_perturbation
@@ -110,6 +111,16 @@ def test_final_row_recorded_off_stride(hex_info, hex_grid):
     _, diag = run(cfg, _two_mode_state(hex_grid, hex_info))
     assert [round(t / 1e-2) for t in diag["t"]] == [0, 3, 6, 7]
     assert diag["t"][-1] == 7 * 1e-2
+
+
+def test_zero_step_run_records_t0_once(hex_info, hex_grid):
+    omega0 = _two_mode_state(hex_grid, hex_info)
+    cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.0, snapshot_times=(0.0,))
+    snaps, diag = run(cfg, omega0)
+    assert list(diag["t"]) == [0.0]
+    assert len(snaps) == 1 and snaps[0][0] == 0.0
+    w0 = synthesize(omega0).samples
+    assert np.max(np.abs(snaps[0][1].samples - w0)) <= 1e-15 * np.max(np.abs(w0))
 
 
 def test_mean_velocity_is_exact_zero(hex_info, hex_grid, rng):

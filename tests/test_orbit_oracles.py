@@ -95,14 +95,19 @@ def _weights(rng, kind):
     elif kind == "flat":         # phi = pi and 1/w2 = 1/w0 + 1/w1: singular Hessian at the max
         w[2] = w[0] * w[1] / (w[0] + w[1]) * (1.0 + rng.uniform(-1e-6, 1e-6))
         beta[2] = beta[0] + beta[1] + math.pi
+    elif kind == "silent":       # one or two modes of f exactly absent
+        w[rng.permutation(3)[:rng.integers(1, 3)]] = 0.0
     return w, beta
 
 
-@pytest.mark.parametrize("kind", ["random", "tiny", "sum", "flat"])
+_L2_KINDS = ["random", "tiny", "sum", "flat", "silent"]
+
+
+@pytest.mark.parametrize("kind", _L2_KINDS)
 def test_l2_without_simplex_matches_oracle(hex_basis, hex_info, kind):
     grid = Grid(hex_basis, 32, 32)
     idx = fl.mode_indices(hex_info, grid)
-    rng = np.random.default_rng(["random", "tiny", "sum", "flat"].index(kind))
+    rng = np.random.default_rng(_L2_KINDS.index(kind))
     for _ in range(150):
         c = EigenstateCoeffs(hex_info, tuple(rng.uniform(0.2, 2.0, 3)),
                              tuple(rng.uniform(0.0, TAU, 3)))
@@ -170,6 +175,17 @@ def _lp_state(preset, n, p_norm, eps, seed):
     base = synthesize_eigenstate(translate_coeffs(c, rng.uniform(-3.0, 3.0, 2)), grid)
     g = band_limited_perturbation(grid, rng, 3.0 * info.rho, p_norm)
     return c, base, RealField(grid, base.samples + eps * g.samples), rng
+
+
+@pytest.mark.parametrize("p_norm", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("preset", ["hexagonal", "square", "rectangular:3.0"])
+def test_distance_to_the_zero_state_is_the_norm(preset, p_norm):
+    # every translate of the zero state is zero, and the translation stays at the origin
+    c, _, f, _ = _lp_state(preset, 32, p_norm, 0.5, 3)
+    zero = EigenstateCoeffs(c.info, (0.0,) * c.info.npairs, (0.0,) * c.info.npairs)
+    d, p = orbit_distance(f, zero, p_norm)
+    assert abs(d - lp_norm(f, p_norm)) <= 1e-14 * d
+    assert np.array_equal(p, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("preset,n,p_norm,eps,seed", _lp_cases())
