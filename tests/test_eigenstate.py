@@ -184,7 +184,7 @@ def test_mixed_eigenspace_rejected(hex_info, square_info):
     (1.0 + 2e-16, 1.0, True),     # the same torus to rounding
     (1.0 + 1e-6, 1.0, False),     # no longer hexagonal: a 2-D eigenspace
     (1.0 + 1e-6, 1.0 + 1e-6, False),  # hexagonal, but lambda1 moves by 2e-6
-], ids=["rounding", "sheared", "scaled"])
+], ids=["rounding", "stretched", "scaled"])
 def test_compatible_across_classifications(hex_basis, hex_info, xi_scale, eta_scale, same):
     basis = LatticeBasis((hex_basis.xi[0] * xi_scale, hex_basis.xi[1]),
                          tuple(e * eta_scale for e in hex_basis.eta))
