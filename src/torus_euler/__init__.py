@@ -1,83 +1,48 @@
-"""Spectral machinery and a 2D Euler solver for flat tori of arbitrary shape."""
+"""Spectral machinery and a 2D Euler solver for flat tori of arbitrary shape.
 
-from .errors import (
-    BadExponent,
-    DegenerateBasis,
-    DegenerateLeadingCoefficient,
-    GridTooCoarse,
-    InconsistentMoments,
-    InternalInvariant,
-    MixedEigenspace,
-    NonZeroMean,
-    NumericalBlowup,
-    ShapeMismatch,
-    TorusEulerError,
-    UnsupportedMoment,
-)
-from .lattice import (
-    DualBasis,
-    EigenspaceInfo,
-    LatticeBasis,
-    ShortestVectorSet,
-    classify_eigenspace,
-    dual_basis,
-    gram_dual,
-    preset_basis,
-    shortest_vectors,
-)
-from .spectral import (
-    Grid,
-    RealField,
-    SpectralField,
-    analyze,
-    casimir,
-    energy,
-    energy_enstrophy_gap,
-    enstrophy,
-    green_apply,
-    laplacian_apply,
-    lp_norm,
-    modes,
-    project_mean_zero,
-    sample_points,
-    synthesize,
-    velocity_from_vorticity,
-)
-from .eigenstate import (
-    EigenstateCoeffs,
-    OrbitInvariant,
-    orbit_distance,
-    orbit_invariant,
-    project_to_e1,
-    same_orbit,
-    solve_translation,
-    synthesize_eigenstate,
-    translate_coeffs,
-)
-from .census import (
-    CandidateTriple,
-    MomentData,
-    OrbitCensus,
-    back_substitute,
-    enumerate_candidates,
-    moment_bracket,
-    moment_data,
-    moments_quadrature_oracle,
-    orbit_census,
-    reduce_to_cubic,
-    solve_cubic,
-)
-from .euler import (
-    Diagnostics,
-    SolverConfig,
-    SolverState,
-    admissibility_check,
-    rhs,
-    run,
-    stability_ensemble,
-    stability_experiment,
-    step,
-)
-from .io import format_coeffs, parse_coeffs, read_torf, write_torf
+The public names load lazily (PEP 562): ``import torus_euler`` runs no
+submodule, and each name imports its submodule the first time it is read.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# Each public name and the submodule that defines it.
+_SOURCE = {
+    name: module
+    for module, names in {
+        "errors": "BadExponent DegenerateBasis DegenerateLeadingCoefficient GridTooCoarse "
+                  "InconsistentMoments InternalInvariant MixedEigenspace NonZeroMean "
+                  "NumericalBlowup ShapeMismatch TorusEulerError UnsupportedMoment",
+        "lattice": "DualBasis EigenspaceInfo LatticeBasis ShortestVectorSet classify_eigenspace "
+                   "dual_basis gram_dual preset_basis shortest_vectors",
+        "spectral": "Grid RealField SpectralField analyze casimir energy energy_enstrophy_gap "
+                    "enstrophy green_apply laplacian_apply lp_norm modes project_mean_zero "
+                    "sample_points synthesize velocity_from_vorticity",
+        "eigenstate": "EigenstateCoeffs OrbitInvariant orbit_distance orbit_invariant "
+                      "project_to_e1 same_orbit solve_translation synthesize_eigenstate "
+                      "translate_coeffs",
+        "census": "CandidateTriple MomentData OrbitCensus back_substitute enumerate_candidates "
+                  "moment_bracket moment_data moments_quadrature_oracle orbit_census "
+                  "reduce_to_cubic solve_cubic",
+        "euler": "Diagnostics SolverConfig SolverState admissibility_check rhs run "
+                 "stability_ensemble stability_experiment step",
+        "io": "format_coeffs parse_coeffs read_torf write_torf",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,24 +1,17 @@
 """Command-line interface: lattice reports, censuses, simulations, verification.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification failure.
+4 verification failure.  Each command imports the modules it uses, so the
+lattice and census commands never load the solver.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from pathlib import Path
 
 from . import __version__
-from .census import CENSUS_BOUNDS, linf_datum, orbit_census
-from .eigenstate import orbit_invariant, same_orbit, synthesize_eigenstate
 from .errors import NumericalBlowup, TorusEulerError
-from .euler import run, stability_ensemble
-from .io import parse_coeffs, record_values, write_torf
-from .lattice import classify_eigenspace, dual_basis, shortest_vectors
-from .manifest import ExperimentManifest, ManifestError, lattice_basis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,6 +32,9 @@ def _fmt_vec(v) -> str:
 
 
 def cmd_lattice_info(args) -> int:
+    from .lattice import classify_eigenspace, dual_basis, shortest_vectors
+    from .manifest import lattice_basis
+
     basis = lattice_basis(args.preset, args.xi, args.eta)
     db = dual_basis(basis)
     sv = shortest_vectors(basis)
@@ -57,6 +53,9 @@ def cmd_lattice_info(args) -> int:
 
 
 def cmd_eigenspace(args) -> int:
+    from .lattice import classify_eigenspace
+    from .manifest import lattice_basis
+
     basis = lattice_basis(args.preset, args.xi, args.eta)
     info = classify_eigenspace(basis)
     print(f"dim E1  = {info.dim}")
@@ -70,6 +69,12 @@ def cmd_eigenspace(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .census import CENSUS_BOUNDS, linf_datum, orbit_census
+    from .eigenstate import orbit_invariant, same_orbit
+    from .io import parse_coeffs
+    from .lattice import classify_eigenspace
+    from .manifest import lattice_basis
+
     basis = lattice_basis(args.preset, args.xi, args.eta)
     info = classify_eigenspace(basis)
     reference = parse_coeffs(args.coeffs, info)
@@ -91,6 +96,13 @@ def cmd_census(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from pathlib import Path
+
+    from .eigenstate import synthesize_eigenstate
+    from .euler import run
+    from .io import write_torf
+    from .manifest import ExperimentManifest, ManifestError
+
     man = ExperimentManifest.from_file(args.manifest)
     for key in ("epsilons", "seeds"):
         if getattr(man, key):
@@ -118,6 +130,13 @@ _PROBLEM_FLAGS = ("--preset", "--xi", "--eta", "--coeffs",
 
 
 def cmd_stability(args) -> int:
+    import dataclasses
+    from pathlib import Path
+
+    from .euler import stability_ensemble
+    from .io import record_values
+    from .manifest import ExperimentManifest, ManifestError
+
     if args.manifest:
         given = [f for f in _PROBLEM_FLAGS
                  if getattr(args, f[2:].replace("-", "_")) is not None]
@@ -226,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, ValueError) as exc:
+    except ValueError as exc:  # ManifestError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalBlowup as exc:

@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .eigenstate import EigenstateCoeffs
-from .euler import SolverConfig
 from .io import parse_coeffs, record_values
 from .lattice import LatticeBasis, classify_eigenspace, preset_basis
 from .spectral import Grid
@@ -112,6 +110,8 @@ class ExperimentManifest:
         return Grid(self.basis(), self.n1, self.n2)
 
     def solver_config(self) -> SolverConfig:
+        from .euler import SolverConfig  # the solver loads only for the commands that run it
+
         return SolverConfig(
             grid=self.grid(),
             dt=self.dt,

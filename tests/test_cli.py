@@ -219,10 +219,10 @@ def test_stability_manifest_rejects_snapshot_times(tmp_path, capsys):
 
 
 def test_stability_run_defaults_without_a_manifest(tmp_path, capsys, monkeypatch):
-    import torus_euler.cli as cli
+    import torus_euler.euler as euler
 
     seen = []
-    monkeypatch.setattr(cli, "stability_ensemble",
+    monkeypatch.setattr(euler, "stability_ensemble",
                         lambda ref, eps, seeds, p_norm, config:
                         seen.append((config.grid.n1, config.grid.n2, config.dt,
                                      config.t_end, p_norm)) or iter(()))
@@ -567,14 +567,42 @@ def test_verify_lines_carry_wall_time(monkeypatch):
     assert re.fullmatch(r"\[FAIL\] bad: off \(\d+\.\d\d s\)", lines[1])
 
 
-def test_cli_import_leaves_verify_and_the_pool_unloaded():
-    """The verification battery and the process pool (with the multiprocessing
-    and logging modules it pulls in) load only on the paths that use them."""
-    lazy = ("torus_euler.verify", "concurrent.futures.process", "multiprocessing", "logging")
+def _loaded(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code`."""
     src = str(Path(torus_euler.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = f"import sys, torus_euler.cli; print(sorted(set({lazy!r}) & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code = f"import sys; {code}; sys.stderr.write(' '.join(sys.modules))"
+    return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stderr.split())
+
+
+def test_cli_import_leaves_verify_and_the_pool_unloaded():
+    """The verification battery and the process pool (with the multiprocessing
+    and logging modules it pulls in) load only on the paths that use them."""
+    lazy = {"torus_euler.verify", "concurrent.futures.process", "multiprocessing", "logging"}
+    assert not lazy & _loaded("import torus_euler.cli")
+
+
+_LATTICE_INFO = {"cli", "eigenstate", "errors", "io", "lattice", "manifest", "spectral"}
+
+
+@pytest.mark.parametrize("code, modules, numpy", [
+    ("import torus_euler", set(), False),
+    ("import torus_euler.cli", {"cli", "errors"}, False),
+    ("import torus_euler.lattice", {"errors", "lattice"}, True),
+    ("from torus_euler import lattice, census",
+     {"census", "eigenstate", "errors", "lattice", "spectral"}, True),
+    ("from torus_euler.cli import main; main(['lattice-info', '--preset', 'square'])",
+     _LATTICE_INFO, True),
+    ("from torus_euler.cli import main; "
+     "main(['census', '--preset', 'hexagonal', '--coeffs', '1 0 1 0 1 0'])",
+     _LATTICE_INFO | {"census"}, True),
+], ids=["package", "cli", "lattice", "from-import", "lattice-info", "census"])
+def test_each_entry_point_loads_only_what_it_uses(code, modules, numpy):
+    """Lattice and census work never loads the Euler solver, and neither the
+    package nor the CLI loads a submodule or numpy before a command runs."""
+    loaded = _loaded(code)
+    assert {m for m in loaded if m.startswith("torus_euler.")} == {
+        f"torus_euler.{m}" for m in modules}
+    assert ("numpy" in loaded) == numpy
