@@ -338,8 +338,9 @@ def linf_datum(c: EigenstateCoeffs) -> float:
     """Sup norm of the state, closed form (dims 2 and 4 only).
 
     With independent wavevectors the phases decouple, so the sup is the sum
-    of the amplitudes.  Retained as a cross-check on the order-4 route used
-    by the 4D census.
+    of the amplitudes.  Equimeasurable states have the same sup norm, so
+    every representative of a 4D census shares the reference's value; the
+    ``census`` command prints it as a cross-check.
     """
     if c.info.dim == 6:
         raise UnsupportedMoment("no closed-form sup norm in the 6D case")

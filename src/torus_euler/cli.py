@@ -134,8 +134,7 @@ def cmd_stability(args) -> int:
     from pathlib import Path
 
     from .euler import stability_ensemble
-    from .io import record_values
-    from .manifest import ExperimentManifest, ManifestError
+    from .manifest import ExperimentManifest, ManifestError, record_values
 
     if args.manifest:
         given = [f for f in _PROBLEM_FLAGS

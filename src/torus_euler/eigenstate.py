@@ -170,14 +170,14 @@ def orbit_invariant(c: EigenstateCoeffs) -> OrbitInvariant:
     return OrbitInvariant(c.amps, prod * complex(math.cos(theta), math.sin(theta)))
 
 
-def same_orbit(c: EigenstateCoeffs, other: EigenstateCoeffs,
-               tol: float = DEFAULT_ORBIT_TOL) -> bool:
+def same_orbit(c: EigenstateCoeffs, other: EigenstateCoeffs) -> bool:
     """Whether two states are translates of each other.
 
     Ordered amplitudes must agree; for dim 6 the phase combination
     alpha1 + alpha2 - alpha3 must also agree (circularly) whenever all
-    three amplitudes are active.
+    three amplitudes are active; each comparison is to ``DEFAULT_ORBIT_TOL``.
     """
+    tol = DEFAULT_ORBIT_TOL
     _check_same_space(c, other)
     if any(abs(a - b) > tol for a, b in zip(c.amps, other.amps)):
         return False
@@ -189,8 +189,7 @@ def same_orbit(c: EigenstateCoeffs, other: EigenstateCoeffs,
     return True
 
 
-def solve_translation(c: EigenstateCoeffs, other: EigenstateCoeffs,
-                      tol: float = DEFAULT_ORBIT_TOL):
+def solve_translation(c: EigenstateCoeffs, other: EigenstateCoeffs):
     """Find p with translate_coeffs(c, p) matching ``other``, or None.
 
     This is the constructive counterpart of same_orbit: phases of the
@@ -198,6 +197,7 @@ def solve_translation(c: EigenstateCoeffs, other: EigenstateCoeffs,
     the third mode's phase must be consistent with the solution of the
     first two (the wavevectors satisfy k3 = k1 + k2).
     """
+    tol = DEFAULT_ORBIT_TOL
     _check_same_space(c, other)
     if any(abs(a - b) > tol for a, b in zip(c.amps, other.amps)):
         return None

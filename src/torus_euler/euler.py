@@ -35,6 +35,7 @@ from .errors import NumericalBlowup
 from .eigenstate import (
     EigenstateCoeffs,
     _orbit_distance_lp,
+    _eigenspace,
     _theta,
     _wrap_phase,
     orbit_distance,
@@ -87,8 +88,7 @@ DEFAULT_DRIFT_THRESHOLDS = {
 
 CSV_HEADER = ("t,energy,enstrophy,casimir3,casimir4,casimir5,casimir6,"
               "meanv1,meanv2,orbit_dist,pstar1,pstar2,theta")
-# the CSV's columns, then those kept in memory only
-COLUMNS = CSV_HEADER.split(",") + ["e1_residual"]
+COLUMNS = CSV_HEADER.split(",")
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class Diagnostics:
         for key, val in sorted(self.meta.items()):
             fh.write(f"# {key} = {val}\n")
         fh.write(CSV_HEADER + "\n")
-        table = np.array([self.columns[name] for name in CSV_HEADER.split(",")], dtype=float)
+        table = np.array([self.columns[name] for name in COLUMNS], dtype=float)
         for row in table.T.tolist():
             fh.write(",".join(map(repr, row)) + "\n")
 
@@ -168,7 +168,6 @@ class AdmissibilityReport:
     """Relative drifts of the conserved quantities against fixed thresholds."""
 
     drifts: dict[str, float]
-    thresholds: dict[str, float]
     failed: tuple[str, ...]
 
     @property
@@ -327,7 +326,8 @@ def _min_cell_size(grid: Grid) -> float:
 def _diag_row(t, c, w, grid, target, p_norm):
     """One diagnostics row, in ``COLUMNS`` order, from the half spectrum ``c``
     and its samples ``w``.  The mean velocity is 0.0: the velocity is a
-    derivative of the periodic stream function."""
+    derivative of the periodic stream function.  Theta is NaN unless the
+    eigenspace is six-dimensional with all three amplitudes active."""
     F = SpectralField(grid, c)
     f = RealField(grid, w)
     if target is None:
@@ -337,10 +337,13 @@ def _diag_row(t, c, w, grid, target, p_norm):
     else:
         # the Lp search runs on samples, from the L2 seed on coefficients
         dist, pstar = _orbit_distance_lp(f, F, target, p_norm)
-    proj, resid = project_to_e1(F)
-    theta = _wrap_phase(_theta(proj)) if proj.info.dim == 6 and min(proj.amps) > 0 else math.nan
+    theta = math.nan
+    if _eigenspace(grid).dim == 6:
+        proj = project_to_e1(F)[0]
+        if min(proj.amps) > 0:
+            theta = _wrap_phase(_theta(proj))
     return (t, energy(F), enstrophy(F), *(casimir(f, m) for m in (3, 4, 5, 6)),
-            0.0, 0.0, dist, *pstar, theta, resid)
+            0.0, 0.0, dist, *pstar, theta)
 
 
 def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
@@ -393,18 +396,15 @@ def run(config: SolverConfig, omega0, target: EigenstateCoeffs | None = None,
     return snapshots, Diagnostics.from_rows(rows, meta)
 
 
-def admissibility_check(diag: Diagnostics,
-                        thresholds: dict[str, float] | None = None) -> AdmissibilityReport:
+def admissibility_check(diag: Diagnostics) -> AdmissibilityReport:
     """Maximum relative drift of each conserved quantity over the run.
 
     Casimirs are normalized by an enstrophy-based scale so that series
-    crossing zero do not produce spurious relative drifts.
+    crossing zero do not produce spurious relative drifts.  A quantity fails
+    where its drift exceeds its ``DEFAULT_DRIFT_THRESHOLDS`` entry.
     """
     if len(diag) == 0:
         raise ValueError("empty diagnostics")
-    thr = dict(DEFAULT_DRIFT_THRESHOLDS)
-    if thresholds:
-        thr.update(thresholds)
     area = float(diag.meta["area"])
     z0 = abs(diag["enstrophy"][0])
     drifts = {}
@@ -415,8 +415,8 @@ def admissibility_check(diag: Diagnostics,
             m = int(name.removeprefix("casimir"))
             scale = max(scale, area * (z0 / area) ** (m / 2.0))
         drifts[name] = float(np.max(np.abs(series - series[0]))) / max(scale, 1e-300)
-    failed = tuple(k for k, v in drifts.items() if v > thr[k])
-    return AdmissibilityReport(drifts, thr, failed)
+    failed = tuple(k for k, v in drifts.items() if v > DEFAULT_DRIFT_THRESHOLDS[k])
+    return AdmissibilityReport(drifts, failed)
 
 
 def band_limited_perturbation(grid: Grid, rng: np.random.Generator,

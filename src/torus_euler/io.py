@@ -10,9 +10,10 @@ import numpy as np
 from .eigenstate import EigenstateCoeffs
 from .errors import ShapeMismatch
 from .lattice import EigenspaceInfo, LatticeBasis
+from .manifest import record_values
 from .spectral import Grid, RealField
 
-__all__ = ["write_torf", "read_torf", "format_coeffs", "parse_coeffs", "record_values"]
+__all__ = ["write_torf", "read_torf", "format_coeffs", "parse_coeffs"]
 
 TORF_MAGIC = b"TORF"
 TORF_VERSION = 1
@@ -56,13 +57,6 @@ def format_coeffs(c: EigenstateCoeffs) -> str:
         parts.append(repr(float(a)))
         parts.append(repr(float(al)))
     return " ".join(parts)
-
-
-def record_values(line: str) -> tuple[float, ...]:
-    """The numbers of a coefficient record; an odd count leads with the integer dim."""
-    tokens = line.split()
-    head = (int(tokens.pop(0)),) if len(tokens) % 2 == 1 else ()
-    return head + tuple(float(t) for t in tokens)
 
 
 def parse_coeffs(record: str | tuple[float, ...], info: EigenspaceInfo) -> EigenstateCoeffs:

@@ -7,11 +7,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .io import parse_coeffs, record_values
 from .lattice import LatticeBasis, classify_eigenspace, preset_basis
-from .spectral import Grid
 
-__all__ = ["ExperimentManifest", "ManifestError", "lattice_basis"]
+__all__ = ["ExperimentManifest", "ManifestError", "lattice_basis", "record_values"]
 
 
 class ManifestError(ValueError):
@@ -26,6 +24,13 @@ def lattice_basis(preset: str | None, xi, eta) -> LatticeBasis:
     if preset is None and (xi is None or eta is None):
         raise ManifestError("a lattice needs a preset or both generators xi and eta")
     return preset_basis(preset) if preset is not None else LatticeBasis(tuple(xi), tuple(eta))
+
+
+def record_values(line: str) -> tuple[float, ...]:
+    """The numbers of a coefficient record; an odd count leads with the integer dim."""
+    tokens = line.split()
+    head = (int(tokens.pop(0)),) if len(tokens) % 2 == 1 else ()
+    return head + tuple(float(t) for t in tokens)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -86,7 +91,7 @@ class ExperimentManifest:
     t_end: float = 20.0
     diag_stride: int = 10
     snapshot_times: tuple[float, ...] = ()
-    reference: tuple[float, ...] = ()   # a coefficient record, as io.record_values reads it
+    reference: tuple[float, ...] = ()   # a coefficient record, as record_values reads it
     epsilons: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
     p_norm: float = 2.0
@@ -107,6 +112,8 @@ class ExperimentManifest:
         return lattice_basis(self.preset, self.xi, self.eta)
 
     def grid(self) -> Grid:
+        from .spectral import Grid
+
         return Grid(self.basis(), self.n1, self.n2)
 
     def solver_config(self) -> SolverConfig:
@@ -121,6 +128,8 @@ class ExperimentManifest:
         )
 
     def reference_coeffs(self) -> EigenstateCoeffs:
+        from .io import parse_coeffs
+
         try:
             return parse_coeffs(self.reference, classify_eigenspace(self.basis()))
         except ValueError as exc:

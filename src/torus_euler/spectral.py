@@ -81,17 +81,6 @@ class RealField:
     grid: Grid
     samples: np.ndarray
 
-    def copy(self) -> "RealField":
-        return RealField(self.grid, self.samples.copy())
-
-    def validate(self):
-        if self.samples.shape != (self.grid.n1, self.grid.n2):
-            raise ShapeMismatch(
-                f"samples {self.samples.shape} vs grid ({self.grid.n1}, {self.grid.n2})"
-            )
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("field contains non-finite samples")
-
 
 @dataclass
 class SpectralField:
@@ -100,9 +89,6 @@ class SpectralField:
 
     grid: Grid
     coeffs: np.ndarray
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
 
     def validate(self):
         if self.coeffs.shape != self.grid.spectral_shape:

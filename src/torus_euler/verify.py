@@ -143,11 +143,15 @@ def check_dual_basis_identities() -> CheckResult:
 
 def check_shortest_vector_geometry() -> CheckResult:
     """Shell closure under negation, pi/3 angle bound, hexagon regularity,
-    and gram(dual(dual)) == gram(original) on 300 random bases (seed 102)."""
+    and gram(dual(dual)) == gram(original) on 300 random bases (seed 102):
+    a third each from ``_random_dim_basis`` with dim 2, 4 and 6, each with
+    its generators changed by a ``_unimodular`` matrix."""
     rng, n = np.random.default_rng(102), 300
     problems = []
     for i in range(n):
-        b = _random_basis(rng)
+        base = _random_dim_basis(rng, (2, 4, 6)[i % 3])
+        rows = np.array(_unimodular(rng)) @ base.matrix
+        b = lat.LatticeBasis(tuple(rows[0]), tuple(rows[1]))
         sv = lat.shortest_vectors(b)
         if sv.size not in (2, 4, 6):
             problems.append(f"case {i}: size {sv.size}")

@@ -14,6 +14,7 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
+import checks  # noqa: E402
 import facts  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -74,3 +75,25 @@ def test_traced_stability_metrics_repeat():
     first, second = _traced_stability_metrics(), _traced_stability_metrics()
     assert {k: first[k] for k in keys} == {k: second[k] for k in keys}
     assert first["euler.diag.rows"] == 4
+
+
+@pytest.mark.parametrize("name", workloads.STABILITY)
+def test_bench_output_check_accepts_the_package_csv(name):
+    """A short run of each stability workload's problem, written by
+    ``Diagnostics.to_csv``, passes the benchmark's own output check."""
+    import dataclasses
+    import io
+
+    from torus_euler import euler
+    from torus_euler.manifest import ExperimentManifest
+
+    spec = dataclasses.replace(workloads.STABILITY[name], t_end=0.2)
+    man = ExperimentManifest.from_text(spec.manifest_text(spec.t_end))
+    eps, seed = workloads.EPSILONS[0], 3
+    diag = euler.stability_experiment(man.reference_coeffs(), eps, seed, spec.p_norm,
+                                      man.solver_config())
+    buf = io.StringIO()
+    diag.to_csv(buf)
+    problems, _ = checks.check_stability(buf.getvalue(), eps=eps, seed=seed, rows=spec.rows,
+                                         hexagonal=spec.preset == "hexagonal")
+    assert problems == []

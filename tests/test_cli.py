@@ -584,7 +584,7 @@ def test_cli_import_leaves_verify_and_the_pool_unloaded():
     assert not lazy & _loaded("import torus_euler.cli")
 
 
-_LATTICE_INFO = {"cli", "eigenstate", "errors", "io", "lattice", "manifest", "spectral"}
+_LATTICE_INFO = {"cli", "errors", "lattice", "manifest"}
 
 
 @pytest.mark.parametrize("code, modules, numpy", [
@@ -597,7 +597,7 @@ _LATTICE_INFO = {"cli", "eigenstate", "errors", "io", "lattice", "manifest", "sp
      _LATTICE_INFO, True),
     ("from torus_euler.cli import main; "
      "main(['census', '--preset', 'hexagonal', '--coeffs', '1 0 1 0 1 0'])",
-     _LATTICE_INFO | {"census"}, True),
+     _LATTICE_INFO | {"census", "eigenstate", "io", "spectral"}, True),
 ], ids=["package", "cli", "lattice", "from-import", "lattice-info", "census"])
 def test_each_entry_point_loads_only_what_it_uses(code, modules, numpy):
     """Lattice and census work never loads the Euler solver, and neither the
@@ -606,3 +606,11 @@ def test_each_entry_point_loads_only_what_it_uses(code, modules, numpy):
     assert {m for m in loaded if m.startswith("torus_euler.")} == {
         f"torus_euler.{m}" for m in modules}
     assert ("numpy" in loaded) == numpy
+
+
+def test_stability_without_coeffs_or_a_manifest_is_config_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "stability", "--preset", "hexagonal",
+                             "--eps", "0.01", "--seed", "1", "--output", str(tmp_path / "out"))
+    assert code == 2
+    assert "--coeffs is required without a manifest" in err
+    assert out == "" and not (tmp_path / "out").exists()

@@ -173,11 +173,13 @@ def test_same_orbit_examples(hex_info, square_info, rng):
     assert not same_orbit(a, b)
 
 
-def test_mixed_eigenspace_rejected(hex_info, square_info):
+def test_mixed_eigenspace_rejected(hex_info, square_info, square_basis):
     a = EigenstateCoeffs(hex_info, (1, 1, 1), (0, 0, 0))
     b = EigenstateCoeffs(square_info, (1, 1), (0, 0))
     with pytest.raises(MixedEigenspace):
         same_orbit(a, b)
+    with pytest.raises(MixedEigenspace, match="different torus"):
+        synthesize_eigenstate(a, Grid(square_basis, 32, 32))
 
 
 @pytest.mark.parametrize("xi_scale,eta_scale,same", [

@@ -283,6 +283,8 @@ def test_run_and_step_refuse_a_field_from_another_grid(hex_grid, preset, n):
 def test_config_validation(hex_grid):
     with pytest.raises(ValueError):
         SolverConfig(hex_grid, dt=-1.0, t_end=1.0)
+    with pytest.raises(ValueError, match="diag_stride must be >= 1"):
+        SolverConfig(hex_grid, dt=1e-2, t_end=1.0, diag_stride=0)
     # the two-thirds truncation is the one flow: there is no dealias option
     with pytest.raises(TypeError):
         SolverConfig(hex_grid, dt=1e-2, t_end=1.0, dealias="two_thirds")
@@ -310,3 +312,21 @@ def test_config_accepts_whole_step_counts(hex_grid, dt, t_end):
     cfg = SolverConfig(hex_grid, dt=dt, t_end=t_end, snapshot_times=(0.0, t_end))
     assert abs(cfg.n_steps * dt - t_end) <= 1e-12 * t_end
     assert cfg.snapshot_steps() == {0, cfg.n_steps}
+
+
+def test_admissibility_check_rejects_empty_diagnostics():
+    with pytest.raises(ValueError, match="empty diagnostics"):
+        admissibility_check(Diagnostics.from_rows([], {"area": 1.0}))
+
+
+def test_perturbation_needs_a_mode_inside_the_band(hex_info, hex_grid, rng):
+    with pytest.raises(ValueError, match="no modes inside the requested band"):
+        band_limited_perturbation(hex_grid, rng, 0.5 * hex_info.rho, 2.0)
+
+
+@pytest.mark.parametrize("eps", [-1.0, math.inf, math.nan])
+def test_stability_experiment_rejects_a_bad_epsilon(hex_info, hex_grid, eps):
+    ref = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.1)
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+        stability_experiment(ref, eps, 1, 2.0, cfg)

@@ -6,6 +6,7 @@ import pytest
 
 from torus_euler import (
     EigenstateCoeffs,
+    ShapeMismatch,
     classify_eigenspace,
     format_coeffs,
     parse_coeffs,
@@ -38,13 +39,21 @@ def test_torf_header_layout(hex_grid, tmp_path):
     assert len(raw) == 48 + 8 * n1 * n2
 
 
-def test_torf_rejects_garbage(tmp_path):
+def test_torf_rejects_garbage(hex_grid, tmp_path):
     bad = tmp_path / "bad.torf"
     bad.write_bytes(b"NOPE" + b"\x00" * 60)
     with pytest.raises(ValueError):
         read_torf(bad)
     bad.write_bytes(b"TORF" + struct.pack("<III4d", 9, 16, 16, 1, 0, 0, 1))
     with pytest.raises(ValueError):
+        read_torf(bad)
+    write_torf(RealField(hex_grid, np.zeros((hex_grid.n1, hex_grid.n2))), bad)
+    raw = bad.read_bytes()
+    bad.write_bytes(raw[:47])
+    with pytest.raises(ValueError, match="truncated TORF header"):
+        read_torf(bad)
+    bad.write_bytes(raw[:-8])
+    with pytest.raises(ValueError, match=f"expected {len(raw)} bytes, got {len(raw) - 8}"):
         read_torf(bad)
 
 
@@ -116,6 +125,8 @@ def test_manifest_errors():
         ExperimentManifest(preset="hexagonal", eta=(0, 1))  # would be dropped silently
     with pytest.raises(ManifestError):
         ExperimentManifest.from_text("not a manifest at all\n")
+    with pytest.raises(ManifestError, match=r"unknown section \[DEFAULT\]"):
+        ExperimentManifest.from_text("[DEFAULT]\nn1 = 64\n\n[lattice]\npreset = hexagonal\n")
     man = ExperimentManifest(preset="hexagonal", reference=(1.0, 0.0))
     with pytest.raises(ManifestError):
         man.reference_coeffs()  # needs 3 pairs on the hexagonal torus
@@ -133,3 +144,10 @@ def test_manifest_reference_keeps_the_record_dim(hex_info):
     with pytest.raises(ManifestError, match="bad manifest value"):
         ExperimentManifest.from_text(
             "[lattice]\npreset = hexagonal\n\n[experiment]\nreference = 6.0 1 0 1 0 1 0\n")
+
+
+def test_write_torf_rejects_samples_off_the_grid(hex_grid, tmp_path):
+    path = tmp_path / "wide.torf"
+    with pytest.raises(ShapeMismatch):
+        write_torf(RealField(hex_grid, np.zeros((hex_grid.n1, hex_grid.n2 + 2))), path)
+    assert not path.exists()

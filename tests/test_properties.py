@@ -1,7 +1,10 @@
 """Module-level property batteries not already covered by the acceptance suite."""
 
+import dataclasses
 import inspect
+import math
 
+import numpy as np
 import pytest
 
 from torus_euler import census, euler, lattice, verify
@@ -84,3 +87,23 @@ def test_lattice_invariance_check_sees_a_skipped_reduction(monkeypatch):
     # vectors of skewed generators
     monkeypatch.setattr(lattice, "_lagrange_gauss", lambda b0, b1: ((b0, b1), ((1, 0), (0, 1))))
     assert not check_lattice_invariance().ok
+
+
+def test_shortest_vector_check_sees_a_turned_hexagon_vector(monkeypatch):
+    shortest = lattice.shortest_vectors
+    turn = np.array([[math.cos(1e-6), -math.sin(1e-6)], [math.sin(1e-6), math.cos(1e-6)]])
+
+    def turned(basis):
+        sv = shortest(basis)
+        if sv.size != 6:
+            return sv
+        # turn vector 0 and its antipode, so that the shell stays closed under negation
+        vecs = sv.vectors.copy()
+        j = int(np.argmin(np.abs(vecs + vecs[0]).sum(axis=1)))
+        vecs[[0, j]] = vecs[[0, j]] @ turn.T
+        return dataclasses.replace(sv, vectors=vecs)
+
+    monkeypatch.setattr(lattice, "shortest_vectors", turned)
+    result = check_shortest_vector_geometry()
+    assert not result.ok
+    assert "angle below pi/3" in result.detail
