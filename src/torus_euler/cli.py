@@ -110,9 +110,9 @@ def cmd_simulate(args) -> int:
                                 "the unperturbed eigenstate; stability runs perturbed ones")
     config = man.solver_config()
     reference = man.reference_coeffs()
+    omega0 = synthesize_eigenstate(reference, config.grid)
     outdir = Path(args.output or man.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    omega0 = synthesize_eigenstate(reference, config.grid)
     snapshots, diag = run(config, omega0, target=reference, p_norm=man.p_norm,
                           meta={"manifest": Path(args.manifest).name})
     for t, field in snapshots:
@@ -162,7 +162,8 @@ def cmd_stability(args) -> int:
                               seeds=tuple(args.seed or man.seeds))
     if not man.epsilons or not man.seeds:
         raise ManifestError("need at least one epsilon and one seed")
-    # a bad reference, seed, t_end, snapshot time or worker cap fails before any output
+    # a bad reference, seed, t_end, snapshot time or worker cap, and a grid too
+    # coarse for the reference or its perturbation band, fail before any output
     results = stability_ensemble(man.reference_coeffs(), man.epsilons, man.seeds,
                                  man.p_norm, man.solver_config())
     outdir = Path(args.output or man.output_dir)

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BadExponent, GridTooCoarse, MixedEigenspace
+from .errors import BadExponent, MixedEigenspace
 from .lattice import EigenspaceInfo, classify_eigenspace, dual_basis
 from .spectral import (
     Grid,
@@ -25,6 +25,7 @@ from .spectral import (
     _as_real,
     _as_spectral,
     _power,
+    _require_kept,
     _require_mean_zero,
     int_power,
     synthesize,
@@ -109,15 +110,15 @@ def _check_same_space(c: EigenstateCoeffs, other: EigenstateCoeffs):
 
 def _mode_indices(info: EigenspaceInfo, grid: Grid) -> list[tuple[int, int, bool]]:
     """(row, column, conjugated) of each eigenmode in the half spectrum: mode
-    k itself where n >= 0, else -k, whose coefficient is k's conjugate."""
+    k itself where n >= 0, else -k, whose coefficient is k's conjugate.
+
+    Raises GridTooCoarse for an eigenmode outside the grid's two-thirds
+    band (``Grid.band``), which the solver would drop."""
     if grid.basis != info.basis:
         raise MixedEigenspace("grid belongs to a different torus than the eigenspace")
     out = []
     for m, n in info.k_coords:
-        if abs(m) > grid.n1 // 2 - 1 or abs(n) > grid.n2 // 2 - 1:
-            raise GridTooCoarse(
-                f"mode ({m}, {n}) not resolvable on a {grid.n1}x{grid.n2} grid"
-            )
+        _require_kept(grid, m, n, "eigenmode")
         out.append((m % grid.n1, n, False) if n >= 0 else (-m % grid.n1, -n, True))
     return out
 
@@ -320,7 +321,6 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
 def _lp_parts(grid: Grid, c: EigenstateCoeffs) -> np.ndarray:
     """The rows C_1..C_k, S_1..S_k of ``_LpObjective.parts`` on the grid's
     samples, built once per (grid, reference) and read-only."""
-    _mode_indices(c.info, grid)  # resolvability check
     mcoords = np.array(c.info.k_coords, dtype=float)
     y1 = np.arange(grid.n1)[:, None] / grid.n1
     y2 = np.arange(grid.n2)[None, :] / grid.n2
@@ -512,8 +512,10 @@ def _orbit_distance_lp(f: RealField, F: SpectralField, c: EigenstateCoeffs,
     value at the seed."""
     if not 1.0 <= p_norm < math.inf:
         raise BadExponent(f"p_norm must be finite and >= 1, got {p_norm}")
-    obj = _LpObjective(f, c, p_norm)
+    # the L2 seed reads the eigenmodes, so it refuses a grid whose band lacks
+    # one before the parts are built
     st = np.array(_cell_coords(_orbit_distance_l2(F, c)[1], c.info))
+    obj = _LpObjective(f, c, p_norm)
     if p_norm > 1:
         st, val = _lp_newton(obj, st)
     else:

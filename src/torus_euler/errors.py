@@ -22,7 +22,7 @@ class BadExponent(TorusEulerError):
 
 
 class GridTooCoarse(TorusEulerError):
-    """Grid cannot resolve the requested Fourier modes."""
+    """A mode lies outside the grid's two-thirds band, which the solver drops."""
 
 
 class MixedEigenspace(TorusEulerError):

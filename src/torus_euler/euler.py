@@ -36,6 +36,7 @@ from .eigenstate import (
     EigenstateCoeffs,
     _orbit_distance_lp,
     _eigenspace,
+    _mode_indices,
     _theta,
     _wrap_phase,
     orbit_distance,
@@ -47,6 +48,7 @@ from .spectral import (
     RealField,
     SpectralField,
     _as_spectral,
+    _require_band,
     _require_mean_zero,
     casimir,
     energy,
@@ -73,6 +75,7 @@ __all__ = [
 ]
 
 BLOWUP_FACTOR = 1e6
+_KMAX_RHO = 3.0  # the stability perturbation's band is |k| <= _KMAX_RHO * rho
 
 # Frozen after calibration at 128^2, dt = 1e-2: energy and enstrophy are
 # conserved to integrator accuracy; Casimirs of order >= 3 see truncation
@@ -181,20 +184,21 @@ class _Kernel:
 
     The right-hand side is P N(P omega), the Galerkin-truncated flow under
     the two-thirds rule: ``project`` masks the state once, and every
-    tendency is masked.  Only the first ``fwd`` = (n2 - 1)//3 + 1
-    half-spectrum columns of the state and of a tendency can be nonzero, so
-    the column transforms run on those alone, and the rule itself zeroes the
-    ``band`` of rows with |m| > (n1 - 1)//3.  Pointwise products and stage
-    updates run on whole arrays, which numpy does faster than on the strided
-    leading columns.
+    tendency is masked.  With (b1, b2) the grid's ``band``, only the first
+    ``fwd`` = b2 + 1 half-spectrum columns of the state and of a tendency
+    can be nonzero, so the column transforms run on those alone, and the
+    rule itself zeroes the ``cut`` rows, those with |m| > b1.  Pointwise
+    products and stage updates run on whole arrays, which numpy does faster
+    than on the strided leading columns.
     """
 
     def __init__(self, grid: Grid):
         table = modes(grid)
         n1, n2 = grid.n1, grid.n2
         self.n2, half = n2, n2 // 2 + 1
-        self.fwd = (n2 - 1) // 3 + 1
-        self.band = slice((n1 - 1) // 3 + 1, n1 - (n1 - 1) // 3)
+        b1, b2 = grid.band
+        self.fwd = b2 + 1
+        self.cut = slice(b1 + 1, n1 - b1)
         self.mask = table.dealias
         # One factor 1/(n1 n2) on the row transforms, as a 2-D transform
         # normalised "forward" applies it: 1/n2 and then 1/n1 would round
@@ -248,7 +252,7 @@ class _Kernel:
         np.fft.fft(self.hat[..., :self.fwd], axis=-2, out=self.cols[..., :self.fwd])
         self.cols *= self.comb
         np.add(*self.cols, out=out)
-        out[self.band] = 0.0
+        out[self.cut] = 0.0
         out[0, 0] = 0.0
         return out
 
@@ -421,7 +425,12 @@ def admissibility_check(diag: Diagnostics) -> AdmissibilityReport:
 
 def band_limited_perturbation(grid: Grid, rng: np.random.Generator,
                               kmax: float, p_norm: float) -> RealField:
-    """Seeded random mean-zero field, band-limited to |k| <= kmax, unit L^p norm."""
+    """Seeded random mean-zero field, band-limited to |k| <= kmax, unit L^p norm.
+
+    Raises GridTooCoarse where a mode with |k| <= kmax lies outside the
+    grid's two-thirds band (``Grid.band``): the solver would cut the field
+    it runs below the norm asked for."""
+    _require_band(grid, kmax)
     g = random_mean_zero_field(grid, rng, kmax=kmax)
     nrm = lp_norm(g, p_norm)
     if nrm == 0:
@@ -437,15 +446,18 @@ def stability_experiment(reference: EigenstateCoeffs, epsilon: float,
     The torus is ``config.grid``'s (a reference from another raises
     ``MixedEigenspace``).  The initial datum is the reference state plus
     epsilon times a seeded random mean-zero field of unit L^p norm,
-    band-limited to |k| <= 3 rho.  The diagnostics carry the orbit distance,
-    the recovered translation, and the projected phase invariant.
+    band-limited to |k| <= 3 rho.  A grid whose two-thirds band
+    (``Grid.band``) lacks an eigenmode or a mode of that band raises
+    ``GridTooCoarse``, so the solver runs the datum whole.  The diagnostics
+    carry the orbit distance, the recovered translation, and the projected
+    phase invariant.
     """
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     grid = config.grid
     base = synthesize_eigenstate(reference, grid)
     rng = np.random.default_rng(perturbation_seed)
-    g = band_limited_perturbation(grid, rng, 3.0 * reference.info.rho, p_norm)
+    g = band_limited_perturbation(grid, rng, _KMAX_RHO * reference.info.rho, p_norm)
     omega0 = RealField(grid, base.samples + epsilon * g.samples)
     meta = {
         "seed": perturbation_seed,
@@ -473,7 +485,11 @@ def stability_ensemble(reference: EigenstateCoeffs, epsilons, seeds,
     ``TORUS_EULER_THREADS`` (read here, before any job runs) caps the process
     pool; with one worker or one job the jobs run in this process.  Pool
     workers are spawned, so a script that calls this needs a ``__main__`` guard.
+    A grid too coarse for the reference or its perturbation band raises
+    ``GridTooCoarse`` here too, before the iterator is returned.
     """
+    _mode_indices(reference.info, config.grid)
+    _require_band(config.grid, _KMAX_RHO * reference.info.rho)
     jobs = [(eps, seed) for eps in epsilons for seed in seeds]
     workers = min(_worker_cap(), len(jobs))
     if workers <= 1:

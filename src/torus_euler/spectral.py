@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadExponent, NonZeroMean, ShapeMismatch
+from .errors import BadExponent, GridTooCoarse, NonZeroMean, ShapeMismatch
 from .lattice import LatticeBasis, classify_eigenspace, dual_basis
 
 __all__ = [
@@ -73,6 +73,14 @@ class Grid:
         """Shape of the rfft2 half spectrum of a field on this grid."""
         return self.n1, self.n2 // 2 + 1
 
+    @property
+    def band(self) -> tuple[int, int]:
+        """The two-thirds band (b1, b2): the modes with |m| <= b1 and
+        |n| <= b2, the only ones the solver keeps.  b = (n - 1)//3 is the
+        largest index below n/3, so no product of two kept modes aliases
+        onto a kept mode."""
+        return (self.n1 - 1) // 3, (self.n2 - 1) // 3
+
 
 @dataclass
 class RealField:
@@ -114,8 +122,40 @@ class ModeTable:
     inv_lap: np.ndarray  # 1/(4 pi^2 |k|^2), zero at the origin
     dx: np.ndarray       # 2 pi i k_x with the unpaired Nyquist lines zeroed
     dy: np.ndarray
-    dealias: np.ndarray  # boolean two-thirds mask
+    dealias: np.ndarray  # boolean two-thirds mask, the modes of Grid.band
     weight: np.ndarray   # Parseval weight: 1 on columns 0 and n2/2, else 2
+
+
+def _wavevector(grid: Grid, m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian components of k = m xi* + n eta* for integer arrays m, n."""
+    db = dual_basis(grid.basis)
+    return m * db.xi_star[0] + n * db.eta_star[0], m * db.xi_star[1] + n * db.eta_star[1]
+
+
+def _require_kept(grid: Grid, m: int, n: int, what: str):
+    """The one rule for the modes a grid carries: raise GridTooCoarse unless
+    mode (m, n) lies in the grid's two-thirds band."""
+    b1, b2 = grid.band
+    if abs(m) > b1 or abs(n) > b2:
+        raise GridTooCoarse(
+            f"{what} ({m}, {n}) lies outside the two-thirds band |m| <= {b1}, "
+            f"|n| <= {b2} of a {grid.n1}x{grid.n2} grid; use a finer grid or "
+            "reduced generators")
+
+
+def _require_band(grid: Grid, kmax: float):
+    """Raise GridTooCoarse unless every lattice mode with |k| <= kmax lies in
+    the grid's two-thirds band.  Such a mode has |m| = |k . xi| <= kmax |xi|
+    and |n| <= kmax |eta|, so the box searched holds them all.  |k|^2 is
+    computed as in ``modes``, so a mode at |k| = kmax counts as inside
+    exactly where ``random_mean_zero_field`` keeps it."""
+    reach = [int(kmax * math.hypot(*v)) + 1 for v in (grid.basis.xi, grid.basis.eta)]
+    m, n = np.meshgrid(*(np.arange(-r, r + 1) for r in reach), indexing="ij")
+    kx, ky = _wavevector(grid, m, n)
+    inside = kx * kx + ky * ky <= kmax * kmax
+    what = f"|k| <= {kmax:.4g} perturbation mode"
+    for mi, ni in zip(m[inside].tolist(), n[inside].tolist()):
+        _require_kept(grid, mi, ni, what)
 
 
 @lru_cache(maxsize=64)
@@ -124,9 +164,7 @@ def modes(grid: Grid) -> ModeTable:
     m = np.fft.fftfreq(n1, 1.0 / n1).astype(np.int64)
     n = np.fft.fftfreq(n2, 1.0 / n2).astype(np.int64)[: n2 // 2 + 1]
     mm, nn = np.meshgrid(m, n, indexing="ij")
-    db = dual_basis(grid.basis)
-    kx = mm * db.xi_star[0] + nn * db.eta_star[0]
-    ky = mm * db.xi_star[1] + nn * db.eta_star[1]
+    kx, ky = _wavevector(grid, mm, nn)
     ksq = kx * kx + ky * ky
     inv_lap = np.zeros_like(ksq)
     nonzero = ksq > 0
@@ -136,7 +174,8 @@ def modes(grid: Grid) -> ModeTable:
     ny = (mm != -n1 // 2) & (nn != -n2 // 2)
     dx = 2.0j * math.pi * kx * ny
     dy = 2.0j * math.pi * ky * ny
-    dealias = (np.abs(mm) <= (n1 - 1) // 3) & (np.abs(nn) <= (n2 - 1) // 3)
+    b1, b2 = grid.band
+    dealias = (np.abs(mm) <= b1) & (np.abs(nn) <= b2)
     weight = np.where((nn == 0) | (nn == -n2 // 2), 1.0, 2.0)
     for a in (mm, nn, ksq, inv_lap, dx, dy, dealias, weight):
         a.setflags(write=False)

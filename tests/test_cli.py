@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -71,6 +72,20 @@ def test_missing_lattice_is_config_error(capsys):
     code, _, err = run_cli(capsys, "lattice-info")
     assert code == 2
     assert "lattice" in err
+
+
+def test_a_non_finite_generator_is_a_torus_error(capsys):
+    code, out, err = run_cli(capsys, "lattice-info", "--xi", "nan", "0", "--eta", "1", "0")
+    assert code == 2
+    assert err == "error: zero or non-finite generator\n"
+    assert out == ""
+
+
+def test_a_missing_manifest_is_an_io_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--manifest", str(tmp_path / "none.ini"))
+    assert code == 2
+    assert err.startswith("i/o error:") and "none.ini" in err
+    assert out == ""
 
 
 def test_bad_manifest_is_config_error(tmp_path, capsys):
@@ -208,6 +223,14 @@ def test_stability_manifest_takes_eps_seed_and_output(tmp_path, capsys, monkeypa
     assert code == 0
     assert [f.name for f in outdir.iterdir()] == ["stability_eps0.02_seed3.csv"]
     assert not (tmp_path / "out").exists()
+
+
+def test_stability_manifest_needs_an_epsilon_and_a_seed(tmp_path, capsys):
+    path = _small_manifest(tmp_path, epsilons=(), seeds=())
+    code, out, err = run_cli(capsys, "stability", "--manifest", str(path))
+    assert code == 2
+    assert "need at least one epsilon and one seed" in err
+    assert out == "" and not (tmp_path / "out").exists()
 
 
 def test_stability_manifest_rejects_snapshot_times(tmp_path, capsys):
@@ -531,6 +554,75 @@ def test_a_negative_seed_exits_2_before_any_output(tmp_path, capsys, source):
     assert out == "" and not outdir.exists()
 
 
+# The hexagonal torus with eta = 6 xi + (pi, pi sqrt 3): its eigenmodes are
+# (0, 1), (1, 6) and (1, 7), and its |k| <= 3 rho band reaches (3, 21).
+_SKEWED_HEX = dict(preset=None, xi=(6.283185307179586, 0.0),
+                   eta=(40.840704496667314, 5.441398092702653))
+
+
+def _data_rows(csv_path):
+    lines = [ln for ln in csv_path.read_text().splitlines() if not ln.startswith("#")]
+    return [dict(zip(lines[0].split(","), map(float, ln.split(",")))) for ln in lines[1:]]
+
+
+def test_stability_refuses_a_skewed_hexagon_until_the_band_holds_it(tmp_path, capsys):
+    """The grid's two-thirds band must hold the three eigenmodes (16^2 does
+    not) and the |k| <= 3 rho perturbation band (32^2 does not); at 64^2 the
+    run starts epsilon from the orbit, as the CSV says."""
+    flags = ["--xi", *map(repr, _SKEWED_HEX["xi"]), "--eta", *map(repr, _SKEWED_HEX["eta"]),
+             "--coeffs", "1 0 1 0 1 0", "--eps", "0.01", "--seed", "1",
+             "--dt", "0.001", "--t-end", "0.002"]
+    for n, refusal in [(16, "eigenmode (1, 6) lies outside the two-thirds band"),
+                       (32, "perturbation mode (-3, -21) lies outside the two-thirds band")]:
+        outdir = tmp_path / f"n{n}"
+        code, out, err = run_cli(capsys, "stability", *flags, "--resolution", str(n),
+                                 "--output", str(outdir))
+        assert code == 2
+        assert refusal in err and "use a finer grid or reduced generators" in err
+        assert out == "" and not outdir.exists()
+    outdir = tmp_path / "n64"
+    code, _, err = run_cli(capsys, "stability", *flags, "--resolution", "64",
+                           "--output", str(outdir))
+    assert code == 0, err
+    rows = _data_rows(outdir / "stability_eps0.01_seed1.csv")
+    assert 0.0 < rows[0]["orbit_dist"] <= 0.01 * (1.0 + 1e-9)
+
+
+def test_simulate_refuses_a_skewed_hexagon_its_grid_cannot_hold(tmp_path, capsys):
+    def simulate(n):
+        path = _small_manifest(tmp_path, **_SKEWED_HEX, n1=n, n2=n, dt=0.001, t_end=0.002,
+                               epsilons=(), seeds=(), output_dir=str(tmp_path / f"out{n}"))
+        return run_cli(capsys, "simulate", "--manifest", str(path))
+
+    code, out, err = simulate(16)
+    assert code == 2
+    assert "eigenmode (1, 6) lies outside the two-thirds band" in err
+    assert out == "" and not (tmp_path / "out16").exists()
+    code, _, err = simulate(32)
+    assert code == 0, err
+    first = _data_rows(tmp_path / "out32" / "diagnostics.csv")[0]
+    assert first["orbit_dist"] < 1e-12
+    assert math.isfinite(first["theta"])
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_a_grid_too_coarse_exits_2_before_any_output(tmp_path, capsys, command):
+    outdir = tmp_path / "never"
+    if command == "simulate":
+        path = _small_manifest(tmp_path, preset=None, xi=(1.0, 0.0), eta=(20.0, 1.0),
+                               n1=16, n2=16, reference=(1.0, 0.0, 1.0, 0.0),
+                               epsilons=(), seeds=(), output_dir=str(outdir))
+        argv = ["simulate", "--manifest", str(path)]
+    else:
+        argv = ["stability", "--xi", "1", "0", "--eta", "20", "1", "--resolution", "16",
+                "--coeffs", "1 0 1 0", "--eps", "0.01", "--seed", "1",
+                "--output", str(outdir)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and not outdir.exists()
+    assert "eigenmode (1, 20) lies outside the two-thirds band" in err
+
+
 def test_blowup_exits_3(tmp_path, capsys):
     path = _small_manifest(tmp_path, reference=(200.0, 0.0, 150.0, 0.0, 0.0, 0.0),
                            dt=2.0, t_end=20.0, diag_stride=1, epsilons=(), seeds=())
@@ -585,6 +677,7 @@ def test_cli_import_leaves_verify_and_the_pool_unloaded():
 
 
 _LATTICE_INFO = {"cli", "errors", "lattice", "manifest"}
+_SOLVER = _LATTICE_INFO | {"eigenstate", "euler", "io", "spectral"}
 
 
 @pytest.mark.parametrize("code, modules, numpy", [
@@ -598,11 +691,22 @@ _LATTICE_INFO = {"cli", "errors", "lattice", "manifest"}
     ("from torus_euler.cli import main; "
      "main(['census', '--preset', 'hexagonal', '--coeffs', '1 0 1 0 1 0'])",
      _LATTICE_INFO | {"census", "eigenstate", "io", "spectral"}, True),
-], ids=["package", "cli", "lattice", "from-import", "lattice-info", "census"])
-def test_each_entry_point_loads_only_what_it_uses(code, modules, numpy):
+    ("from torus_euler.cli import main; main(['eigenspace', '--preset', 'square'])",
+     _LATTICE_INFO, True),
+    ("from torus_euler.cli import main; assert main(['stability', '--manifest', {manifest!r}, "
+     "'--eps', '0.01', '--seed', '1', '--output', {out!r}]) == 0", _SOLVER, True),
+    ("from torus_euler.cli import main; "
+     "assert main(['simulate', '--manifest', {manifest!r}, '--output', {out!r}]) == 0",
+     _SOLVER, True),
+], ids=["package", "cli", "lattice", "from-import", "lattice-info", "census", "eigenspace",
+        "stability", "simulate"])
+def test_each_entry_point_loads_only_what_it_uses(tmp_path, code, modules, numpy):
     """Lattice and census work never loads the Euler solver, and neither the
-    package nor the CLI loads a submodule or numpy before a command runs."""
-    loaded = _loaded(code)
+    package nor the CLI loads a submodule or numpy before a command runs.
+    The solver commands run a hexagonal 16^2 manifest for one step."""
+    manifest = _small_manifest(tmp_path, n1=16, n2=16, dt=0.01, t_end=0.01,
+                               epsilons=(), seeds=())
+    loaded = _loaded(code.format(manifest=str(manifest), out=str(tmp_path / "out")))
     assert {m for m in loaded if m.startswith("torus_euler.")} == {
         f"torus_euler.{m}" for m in modules}
     assert ("numpy" in loaded) == numpy

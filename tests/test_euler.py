@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_euler import (
     Diagnostics,
     EigenstateCoeffs,
     Grid,
+    GridTooCoarse,
+    LatticeBasis,
     NonZeroMean,
     NumericalBlowup,
     RealField,
@@ -30,7 +34,7 @@ from torus_euler import (
     synthesize_eigenstate,
 )
 from torus_euler.euler import band_limited_perturbation
-from torus_euler.spectral import lp_norm
+from torus_euler.spectral import lp_norm, modes
 
 import full_layout as fl
 
@@ -226,15 +230,19 @@ def test_stability_ensemble_pool_is_bitwise_the_serial_run(hex_info, hex_basis, 
 
 @pytest.mark.parametrize("threads,epsilons,seeds",
                          [("1", (0.1, 0.2), (1, 2)), ("2", (0.1,), (1,))])
-def test_stability_ensemble_runs_in_process_on_one_worker_or_job(monkeypatch, threads,
+def test_stability_ensemble_runs_in_process_on_one_worker_or_job(monkeypatch, hex_info,
+                                                                 hex_grid, threads,
                                                                  epsilons, seeds):
     import torus_euler.euler as euler
 
+    # the ensemble checks the reference and the band on the grid before any job
+    ref = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.1)
     calls = []
     monkeypatch.setattr(euler, "stability_experiment", lambda *job: calls.append(job) or job)
     monkeypatch.setenv("TORUS_EULER_THREADS", threads)
-    out = list(euler.stability_ensemble("ref", epsilons, seeds, 2.0, "cfg"))
-    assert out == calls == [("ref", eps, seed, 2.0, "cfg")
+    out = list(euler.stability_ensemble(ref, epsilons, seeds, 2.0, cfg))
+    assert out == calls == [(ref, eps, seed, 2.0, cfg)
                             for eps in epsilons for seed in seeds]
 
 
@@ -322,6 +330,35 @@ def test_admissibility_check_rejects_empty_diagnostics():
 def test_perturbation_needs_a_mode_inside_the_band(hex_info, hex_grid, rng):
     with pytest.raises(ValueError, match="no modes inside the requested band"):
         band_limited_perturbation(hex_grid, rng, 0.5 * hex_info.rho, 2.0)
+
+
+_UNIMODULAR = [(a, b, c, d) for a in range(-6, 7) for b in range(-6, 7)
+               for c in range(-6, 7) for d in range(-6, 7) if abs(a * d - b * c) == 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset=st.sampled_from(["hexagonal", "square", "rectangular:3.0"]),
+       skew=st.sampled_from(_UNIMODULAR), n=st.sampled_from([16, 24, 32]))
+def test_the_mask_cuts_nothing_from_a_datum_the_grid_accepts(preset, skew, n):
+    """A preset torus stated by skewed generators: the reference and its
+    |k| <= 3 rho perturbation either raise GridTooCoarse or lie in the
+    grid's two-thirds band, so the solver's mask P keeps omega0 whole."""
+    a, b, c, d = skew
+    base = preset_basis(preset)
+    basis = LatticeBasis(tuple(a * x + b * y for x, y in zip(base.xi, base.eta)),
+                         tuple(c * x + d * y for x, y in zip(base.xi, base.eta)))
+    grid = Grid(basis, n, n)
+    info = classify_eigenspace(basis)
+    ref = EigenstateCoeffs(info, (1.0,) * info.npairs, (0.5,) * info.npairs)
+    try:
+        w = synthesize_eigenstate(ref, grid)
+        g = band_limited_perturbation(grid, np.random.default_rng(1), 3.0 * info.rho, 2.0)
+    except GridTooCoarse:
+        return
+    omega0 = RealField(grid, w.samples + 0.01 * g.samples)
+    kept = synthesize(SpectralField(grid, analyze(omega0).coeffs * modes(grid).dealias))
+    cut = RealField(grid, kept.samples - omega0.samples)
+    assert lp_norm(cut, 2.0) <= 1e-12 * lp_norm(omega0, 2.0)
 
 
 @pytest.mark.parametrize("eps", [-1.0, math.inf, math.nan])
