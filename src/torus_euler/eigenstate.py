@@ -49,8 +49,15 @@ DEFAULT_ORBIT_TOL = 1e-8
 _TWO_PI = 2.0 * math.pi
 
 
+def _wrap(x: float, period: float) -> float:
+    """x modulo period, in [0, period).  ``%`` alone returns the period itself
+    for an x within half an ulp below 0; that one case reads as 0."""
+    r = float(x) % period
+    return 0.0 if r == period else r
+
+
 def _wrap_phase(a: float) -> float:
-    return float(a) % _TWO_PI
+    return _wrap(a, _TWO_PI)
 
 
 def circ_dist(a: float, b: float) -> float:
@@ -60,7 +67,10 @@ def circ_dist(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class EigenstateCoeffs:
-    """Amplitudes A_i >= 0 and phases alpha_i in [0, 2 pi), one pair per mode."""
+    """Amplitudes A_i >= 0 and phases alpha_i in [0, 2 pi), one pair per mode.
+
+    The constructor reduces every phase by ``_wrap``: a phase of 2 pi, or one
+    within half an ulp below 0, is stored as 0.0."""
 
     info: EigenspaceInfo
     amps: tuple[float, ...]
@@ -230,16 +240,14 @@ def _translation(info: EigenspaceInfo, active, phases) -> np.ndarray:
 
 
 def _cell_coords(p: np.ndarray, info: EigenspaceInfo) -> tuple[float, float]:
-    """Fractional coordinates of p in the fundamental cell."""
+    """The cell coordinates (s, t) of p modulo the lattice, each in [0, 1):
+    p = s xi + t eta plus a lattice vector."""
     db = dual_basis(info.basis)
-    return (
-        float(np.dot(db.xi_star, p)) % 1.0,
-        float(np.dot(db.eta_star, p)) % 1.0,
-    )
+    return _wrap(np.dot(db.xi_star, p), 1.0), _wrap(np.dot(db.eta_star, p), 1.0)
 
 
-def _wrap_to_cell(p: np.ndarray, info: EigenspaceInfo) -> np.ndarray:
-    s, t = _cell_coords(p, info)
+def _cell_point(s: float, t: float, info: EigenspaceInfo) -> np.ndarray:
+    """The point s xi + t eta of the cell coordinates (s, t)."""
     return s * np.asarray(info.basis.xi) + t * np.asarray(info.basis.eta)
 
 
@@ -313,7 +321,7 @@ def _orbit_distance_l2(F: SpectralField, c: EigenstateCoeffs) -> tuple[float, np
     # mode's own phase is -beta_i, which the 6D t_opt holds only to rounding
     active = [i for i in range(c.info.npairs) if amps[i] > 0]
     p = _translation(c.info, active, -beta if len(active) == 1 else t_opt)
-    return math.sqrt(dist_sq), _wrap_to_cell(p, c.info)
+    return math.sqrt(dist_sq), _cell_point(*_cell_coords(p, c.info), c.info)
 
 
 # An entry is 2 npairs x n1 n2 floats, 0.75 MiB for dim 6 at 128^2.
@@ -524,14 +532,14 @@ def _orbit_distance_lp(f: RealField, F: SpectralField, c: EigenstateCoeffs,
             # scaled to 1 at the seed, so that _NM_FATOL is a few ulps of J
             res = minimize(lambda x: obj.value(x) / val, st)
             st, val = res.x, float(res.fun) * val
-    p = (st[0] % 1.0) * np.asarray(c.info.basis.xi) + (st[1] % 1.0) * np.asarray(c.info.basis.eta)
-    return val ** (1.0 / p_norm), p
+    return val ** (1.0 / p_norm), _cell_point(_wrap(st[0], 1.0), _wrap(st[1], 1.0), c.info)
 
 
 def orbit_distance(f: RealField | SpectralField, c: EigenstateCoeffs,
                    p_norm: float = 2.0) -> tuple[float, np.ndarray]:
     """Minimum L^p distance from f to the translation orbit of the state c,
-    together with a minimizing translation in the fundamental cell.
+    together with a minimizing translation s xi + t eta in the fundamental
+    cell, s and t in [0, 1).
 
     p_norm = 2 uses the exact spectral form on f's coefficients.  Other
     finite exponents start from the L2 minimizer and descend on f's samples:
@@ -558,7 +566,7 @@ def project_to_e1(f: RealField | SpectralField) -> tuple[EigenstateCoeffs, float
     raw, residual_power = _eigenmodes(F, info)
     amps = [2.0 * abs(z) for z in raw]
     floor = 1e-12 * max(amps, default=0.0)
-    pairs = [(a, _wrap_phase(float(np.angle(z)))) if a > floor else (0.0, 0.0)
+    pairs = [(a, float(np.angle(z))) if a > floor else (0.0, 0.0)
              for a, z in zip(amps, raw)]
     residual = math.sqrt(f.grid.area * residual_power)
     coeffs = EigenstateCoeffs(info, tuple(a for a, _ in pairs), tuple(p for _, p in pairs))

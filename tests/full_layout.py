@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from torus_euler import classify_eigenspace, dual_basis
-from torus_euler.eigenstate import _wrap_to_cell
+from torus_euler.eigenstate import _cell_coords, _cell_point
 
 TAU = 2.0 * math.pi
 
@@ -153,7 +153,7 @@ def orbit_distance_l2(grid, full, c):
     else:
         kmat = np.array([c.info.k[0], c.info.k[1]], dtype=float)
         p = np.linalg.solve(kmat, t_opt[:2] / TAU)
-    return math.sqrt(dist_sq), _wrap_to_cell(p, c.info), t_opt
+    return math.sqrt(dist_sq), _cell_point(*_cell_coords(p, c.info), c.info), t_opt
 
 
 def _six_dim_shifts(w, beta):

@@ -62,6 +62,13 @@ def test_census_command(capsys, preset, coeffs):
         assert all(" invariant=0.0,0.0 " in ln for ln in lines)
 
 
+def test_census_prints_a_phase_on_its_period_as_0(capsys):
+    code, out, _ = run_cli(capsys, "census", "--preset", "hexagonal",
+                           "--coeffs", "1 0.30000000000000004 1 0 1 0.3")
+    assert code == 0
+    assert " phases=0.0,0.0,0.0 invariant=1.0,0.0 " in out
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["lattice-info", "--preset", "square", "--bogus"])
@@ -602,7 +609,28 @@ def test_simulate_refuses_a_skewed_hexagon_its_grid_cannot_hold(tmp_path, capsys
     assert code == 0, err
     first = _data_rows(tmp_path / "out32" / "diagnostics.csv")[0]
     assert first["orbit_dist"] < 1e-12
+    assert abs(first["pstar1"]) < 1e-12 and abs(first["pstar2"]) < 1e-12
     assert math.isfinite(first["theta"])
+
+
+@pytest.mark.parametrize("reference,column", [
+    ((1.0, 0.0, 1.0, 0.0, 1.0, 0.0), "pstar"),
+    ((1.0, 0.3, 1.0, 0.0, 1.0, 0.30000000000000004), "theta"),
+], ids=["pstar", "theta"])
+def test_simulate_reports_a_steady_eigenstate_inside_the_period(tmp_path, capsys, reference,
+                                                                column):
+    """The steady state's translation is the origin and its theta is 0, on
+    every row; neither is the far end of its period."""
+    path = _small_manifest(tmp_path, n1=64, n2=64, dt=0.01, t_end=1.0, diag_stride=10,
+                           reference=reference, epsilons=(), seeds=())
+    code, _, err = run_cli(capsys, "simulate", "--manifest", str(path))
+    assert code == 0, err
+    rows = _data_rows(tmp_path / "out" / "diagnostics.csv")
+    assert len(rows) == 11
+    if column == "pstar":
+        assert all(abs(r["pstar1"]) < 1e-12 and abs(r["pstar2"]) < 1e-12 for r in rows)
+    else:
+        assert all(r["theta"] == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("command", ["simulate", "stability"])

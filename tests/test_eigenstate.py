@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torus_euler import (
@@ -28,7 +28,7 @@ from torus_euler import (
     synthesize_eigenstate,
     translate_coeffs,
 )
-from torus_euler.eigenstate import _LpObjective, circ_dist
+from torus_euler.eigenstate import _cell_coords, _LpObjective, _wrap, circ_dist
 from torus_euler.spectral import lp_norm, random_mean_zero_field, sample_points
 
 import full_layout as fl
@@ -41,6 +41,8 @@ def test_coeffs_canonicalization(hex_info):
     assert c.phases[1] == 0.0            # zero amplitude forces zero phase
     assert 0.0 <= c.phases[0] < TAU
     assert 0.0 <= c.phases[2] < TAU
+    # -1e-17 % 2 pi is 2 pi itself; the phase is stored as 0.0
+    assert EigenstateCoeffs(hex_info, (1, 1, 1), (0, -1e-17, 0)).phases == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         EigenstateCoeffs(hex_info, (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
@@ -53,6 +55,21 @@ def test_coeffs_reject_a_non_finite_phase(hex_info, phase, amp):
     """A NaN phase would make a state that is not in its own orbit."""
     with pytest.raises(ValueError, match="phases must be finite"):
         EigenstateCoeffs(hex_info, (1.0, 1.0, amp), (0.0, 0.0, phase))
+
+
+@pytest.mark.parametrize("period", [1.0, TAU], ids=["1", "2pi"])
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-1e6, 1e6))
+@example(x=-0.0)
+@example(x=-1e-17)
+@example(x=-5e-324)
+@example(x=1.0 - 2.0**-53)
+@example(x=math.nextafter(TAU, 0.0))
+def test_wrap_lies_in_the_period_and_changes_only_the_edge(period, x):
+    r = _wrap(x, period)
+    assert 0.0 <= r < period
+    if x % period < period:
+        assert r.hex() == (x % period).hex()
 
 
 def test_synthesize_zero(hex_info, hex_grid):
@@ -265,6 +282,22 @@ def test_orbit_distance_self_and_shift(hex_info, hex_grid, rng):
     want = translate_coeffs(c, p0)
     got = translate_coeffs(c, pstar)
     assert max(circ_dist(a, b) for a, b in zip(got.phases, want.phases)) < 1e-6
+
+
+def test_cell_coords_lie_in_the_cell(hex_info):
+    xi, eta = np.asarray(hex_info.basis.xi), np.asarray(hex_info.basis.eta)
+    for edge in (-1e-17, 1.0 - 2.0**-53):
+        s, t = _cell_coords(edge * xi + 0.5 * eta, hex_info)
+        assert 0.0 <= s < 1.0 and t == 0.5
+
+
+@pytest.mark.parametrize("p_norm", [1.0, 2.0, 4.0])
+def test_orbit_distance_of_the_state_itself_is_at_the_origin(hex_info, hex_grid, p_norm):
+    """The minimizing translation is the origin, not the cell's far corner
+    that a coordinate just below 0 would reach through ``%``."""
+    c = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    _, p = orbit_distance(synthesize_eigenstate(c, hex_grid), c, p_norm)
+    assert math.hypot(*p) < 1e-12
 
 
 def test_orbit_distance_orthogonal_mode(hex_info, hex_grid):
