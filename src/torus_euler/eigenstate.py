@@ -115,7 +115,7 @@ class OrbitInvariant:
 
 def _check_same_space(c: EigenstateCoeffs, other: EigenstateCoeffs):
     if not c.info.compatible(other.info):
-        raise MixedEigenspace("coefficient tuples live on different eigenspaces")
+        raise MixedEigenspace("coefficient tuples live on different tori")
 
 
 def _mode_indices(info: EigenspaceInfo, grid: Grid) -> list[tuple[int, int, bool]]:

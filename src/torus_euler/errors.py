@@ -26,7 +26,8 @@ class GridTooCoarse(TorusEulerError):
 
 
 class MixedEigenspace(TorusEulerError):
-    """Coefficient tuples belong to different eigenspaces."""
+    """Coefficient tuples, or a state and a grid, belong to different tori:
+    their generators are not equal floats."""
 
 
 class UnsupportedMoment(TorusEulerError):
@@ -38,7 +39,7 @@ class DegenerateLeadingCoefficient(TorusEulerError):
 
 
 class InconsistentMoments(TorusEulerError):
-    """Census reference fails its own moment round-trip."""
+    """The census reference is missing from its own census."""
 
 
 class NumericalBlowup(TorusEulerError):

@@ -183,22 +183,20 @@ class _Kernel:
     allocates nothing.
 
     The right-hand side is P N(P omega), the Galerkin-truncated flow under
-    the two-thirds rule: ``project`` masks the state once, and every
-    tendency is masked.  With (b1, b2) the grid's ``band``, only the first
-    ``fwd`` = b2 + 1 half-spectrum columns of the state and of a tendency
-    can be nonzero, so the column transforms run on those alone, and the
-    rule itself zeroes the ``cut`` rows, those with |m| > b1.  Pointwise
-    products and stage updates run on whole arrays, which numpy does faster
-    than on the strided leading columns.
+    the two-thirds rule: ``project`` masks the state once, and the
+    tendency's multipliers ``comb`` carry the mask, so a tendency is zero
+    outside the grid's ``band`` (b1, b2) and at k = 0 by construction.
+    Only the first ``fwd`` = b2 + 1 half-spectrum columns of the state and
+    of a tendency can be nonzero, so the column transforms run on those
+    alone.  Pointwise products and stage updates run on whole arrays, which
+    numpy does faster than on the strided leading columns.
     """
 
     def __init__(self, grid: Grid):
         table = modes(grid)
         n1, n2 = grid.n1, grid.n2
         self.n2, half = n2, n2 // 2 + 1
-        b1, b2 = grid.band
-        self.fwd = b2 + 1
-        self.cut = slice(b1 + 1, n1 - b1)
+        self.fwd = grid.band[1] + 1
         self.mask = table.dealias
         # One factor 1/(n1 n2) on the row transforms, as a 2-D transform
         # normalised "forward" applies it: 1/n2 and then 1/n1 would round
@@ -208,9 +206,10 @@ class _Kernel:
         self.cols = np.zeros((2, n1, half), dtype=complex)
         dx, dy, inv_lap = table.dx, table.dy, table.inv_lap
         # the velocity (psi_y, -psi_x), and the tendency's factors
-        # -(dxx - dyy) on uv and -dxdy on v^2 - u^2, with the scale
+        # -(dxx - dyy) on uv and -dxdy on v^2 - u^2, with the scale and the mask
         self.vel = np.stack([inv_lap * dy, -(inv_lap * dx)])
         self.comb = np.stack([-scale * (dx * dx - dy * dy), -scale * (dx * dy)])
+        self.comb *= self.mask
         self.hat = np.empty((2, n1, half), dtype=complex)
         self.uv, self.quad = np.empty((2, 2, n1, n2))
         # the RK4 accumulator, tendency and stage
@@ -251,10 +250,7 @@ class _Kernel:
         np.fft.rfft(self.quad, axis=-1, out=self.hat)
         np.fft.fft(self.hat[..., :self.fwd], axis=-2, out=self.cols[..., :self.fwd])
         self.cols *= self.comb
-        np.add(*self.cols, out=out)
-        out[self.cut] = 0.0
-        out[0, 0] = 0.0
-        return out
+        return np.add(*self.cols, out=out)
 
     def step(self, c: np.ndarray, dt: float) -> None:
         """Advance the half spectrum ``c`` by one classical RK4 step, in place.

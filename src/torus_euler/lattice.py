@@ -32,8 +32,6 @@ __all__ = [
 
 # Relative tie tolerance for membership in the shortest-vector shell.
 SHELL_TIE_RTOL = 1e-9
-# Relative tolerance of EigenspaceInfo.compatible on lambda1 and the wavevectors.
-_COMPATIBLE_RTOL = 1e-9
 
 
 def unit_scaled(xi, eta) -> tuple[tuple[float, float], tuple[float, float], int]:
@@ -161,19 +159,10 @@ class EigenspaceInfo:
     def npairs(self) -> int:
         return self.dim // 2
 
-    def k_array(self) -> np.ndarray:
-        return np.array(self.k, dtype=float)
-
     def compatible(self, other: "EigenspaceInfo") -> bool:
-        """Whether two infos describe the same eigenspace of the same torus."""
-        if self is other:
-            return True
-        if self.dim != other.dim or self.k_coords != other.k_coords:
-            return False
-        if abs(self.lambda1 - other.lambda1) > _COMPATIBLE_RTOL * self.lambda1:
-            return False
-        dk = self.k_array() - other.k_array()
-        return bool(np.max(np.abs(dk)) <= _COMPATIBLE_RTOL * self.rho + 1e-300)
+        """Whether two infos describe the eigenspace of the same torus: the
+        one same-torus rule, equal generators, float for float."""
+        return self is other or self.basis == other.basis
 
 
 def dual_basis(basis: LatticeBasis) -> DualBasis:

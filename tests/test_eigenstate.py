@@ -21,12 +21,15 @@ from torus_euler import (
     modes,
     orbit_distance,
     orbit_invariant,
+    preset_basis,
     project_to_e1,
+    read_torf,
     same_orbit,
     solve_translation,
     synthesize,
     synthesize_eigenstate,
     translate_coeffs,
+    write_torf,
 )
 from torus_euler.eigenstate import _cell_coords, _LpObjective, _wrap, circ_dist
 from torus_euler.spectral import lp_norm, random_mean_zero_field, sample_points
@@ -199,24 +202,55 @@ def test_mixed_eigenspace_rejected(hex_info, square_info, square_basis):
         synthesize_eigenstate(a, Grid(square_basis, 32, 32))
 
 
-@pytest.mark.parametrize("xi_scale,eta_scale,same", [
-    (1.0 + 2e-16, 1.0, True),     # the same torus to rounding
-    (1.0 + 1e-6, 1.0, False),     # no longer hexagonal: a 2-D eigenspace
-    (1.0 + 1e-6, 1.0 + 1e-6, False),  # hexagonal, but lambda1 moves by 2e-6
+@pytest.mark.parametrize("xi_scale,eta_scale", [
+    (1.0 + 2e-16, 1.0),           # 2 ulps apart: hexagonal, but another torus
+    (1.0 + 1e-6, 1.0),            # no longer hexagonal: a 2-D eigenspace
+    (1.0 + 1e-6, 1.0 + 1e-6),     # hexagonal, but lambda1 moves by 2e-6
 ], ids=["rounding", "stretched", "scaled"])
-def test_compatible_across_classifications(hex_basis, hex_info, xi_scale, eta_scale, same):
+def test_compatible_across_classifications(hex_basis, hex_info, xi_scale, eta_scale):
     basis = LatticeBasis((hex_basis.xi[0] * xi_scale, hex_basis.xi[1]),
                          tuple(e * eta_scale for e in hex_basis.eta))
     info = classify_eigenspace(basis)
     assert info is not hex_info
-    assert info.compatible(hex_info) is same
+    assert not info.compatible(hex_info)
     a = EigenstateCoeffs(hex_info, (1.0, 0.5, 0.2), (0.0, 1.0, 2.0))
     b = EigenstateCoeffs(info, a.amps[:info.npairs], a.phases[:info.npairs])
-    if same:
-        assert same_orbit(a, b) and same_orbit(b, a)
-    else:
-        with pytest.raises(MixedEigenspace):
-            same_orbit(a, b)
+    with pytest.raises(MixedEigenspace):
+        same_orbit(a, b)
+
+
+def _torf_round_trip(basis, path):
+    write_torf(RealField(Grid(basis, 16, 16), np.zeros((16, 16))), path)
+    return read_torf(path).grid.basis
+
+
+@pytest.mark.parametrize("make,same", [
+    (lambda b, path: LatticeBasis((b.xi[0] * (1.0 + 2e-16), b.xi[1]), b.eta), False),
+    (lambda b, path: preset_basis("hexagonal"), True),
+    (_torf_round_trip, True),
+], ids=["two-ulps", "preset-again", "torf-round-trip"])
+def test_one_same_torus_rule_for_orbits_grids_and_distances(hex_basis, hex_info, tmp_path,
+                                                            make, same):
+    """Two states share a torus exactly when their generators are equal
+    floats: the orbit test, the translation solve, synthesis on a grid and
+    the orbit distance all accept such a pair and all refuse any other."""
+    basis = make(hex_basis, tmp_path / "w.torf")
+    assert basis is not hex_basis and (basis == hex_basis) is same
+    info = classify_eigenspace(basis)
+    a = EigenstateCoeffs(hex_info, (1.0, 0.5, 0.2), (0.0, 1.0, 2.0))
+    b = EigenstateCoeffs(info, a.amps, a.phases)
+    grid = Grid(basis, 32, 32)
+    w = synthesize_eigenstate(b, grid)
+    if not same:
+        for call in (lambda: same_orbit(a, b), lambda: solve_translation(a, b),
+                     lambda: synthesize_eigenstate(a, grid), lambda: orbit_distance(w, a)):
+            with pytest.raises(MixedEigenspace):
+                call()
+        return
+    assert same_orbit(a, b)
+    np.testing.assert_array_equal(solve_translation(a, b), [0.0, 0.0])
+    np.testing.assert_array_equal(synthesize_eigenstate(a, grid).samples, w.samples)
+    assert orbit_distance(w, a)[0] <= 1e-12 * lp_norm(w, 2.0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -34,7 +34,7 @@ from torus_euler import (
     synthesize_eigenstate,
 )
 from torus_euler.euler import band_limited_perturbation
-from torus_euler.spectral import lp_norm, modes
+from torus_euler.spectral import lp_norm, modes, random_mean_zero_field
 
 import full_layout as fl
 
@@ -60,6 +60,19 @@ def test_rhs_zero_and_mean_guard(hex_grid):
     bad.coeffs[0, 0] = 1.0
     with pytest.raises(NonZeroMean):
         rhs(bad)
+
+
+@pytest.mark.parametrize("n1,n2", [(48, 32), (32, 48), (64, 64)])
+def test_rhs_is_exactly_zero_outside_the_band_and_at_the_mean(hex_basis, rng, n1, n2):
+    """The tendency's multipliers vanish outside the two-thirds band and at
+    k = 0, so those entries are exact zeros, with rows and columns cut by
+    their own side of the grid."""
+    grid = Grid(hex_basis, n1, n2)
+    keep = modes(grid).dealias
+    F = SpectralField(grid, analyze(random_mean_zero_field(grid, rng)).coeffs * keep)
+    r = rhs(F).coeffs
+    assert np.all(r[~keep] == 0.0) and r[0, 0] == 0.0
+    assert np.any(r[keep] != 0.0)
 
 
 def test_rhs_eigenstate_steady(hex_info, hex_grid, rng):
