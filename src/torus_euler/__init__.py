@@ -18,14 +18,14 @@ _SOURCE = {
         "lattice": "DualBasis EigenspaceInfo LatticeBasis ShortestVectorSet classify_eigenspace "
                    "dual_basis gram_dual preset_basis shortest_vectors",
         "spectral": "Grid RealField SpectralField analyze casimir energy energy_enstrophy_gap "
-                    "enstrophy green_apply laplacian_apply lp_norm modes project_mean_zero "
-                    "sample_points synthesize velocity_from_vorticity",
+                    "enstrophy green_apply laplacian_apply lp_norm modes sample_points "
+                    "synthesize velocity_from_vorticity",
         "eigenstate": "EigenstateCoeffs OrbitInvariant orbit_distance orbit_invariant "
                       "project_to_e1 same_orbit solve_translation synthesize_eigenstate "
                       "translate_coeffs",
-        "census": "CandidateTriple MomentData OrbitCensus back_substitute enumerate_candidates "
-                  "moment_bracket moment_data moments_quadrature_oracle orbit_census "
-                  "reduce_to_cubic solve_cubic",
+        "census": "MomentData OrbitCensus back_substitute enumerate_candidates moment_bracket "
+                  "moment_data moments_quadrature_oracle orbit_census reduce_to_cubic "
+                  "solve_cubic",
         "euler": "Diagnostics SolverConfig SolverState admissibility_check rhs run "
                  "stability_ensemble stability_experiment step",
         "io": "format_coeffs parse_coeffs read_torf write_torf",

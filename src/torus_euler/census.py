@@ -36,7 +36,6 @@ from .eigenstate import (DEFAULT_ORBIT_TOL, EigenstateCoeffs, _theta, _wrap_phas
 
 __all__ = [
     "MomentData",
-    "CandidateTriple",
     "OrbitCensus",
     "moment_bracket",
     "moments_quadrature_oracle",
@@ -82,18 +81,6 @@ class MomentData:
 
 
 @dataclass(frozen=True)
-class CandidateTriple:
-    """Squared amplitudes solving the reduced moment system."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
 class OrbitCensus:
     dim: int
     representatives: tuple[EigenstateCoeffs, ...]
@@ -131,9 +118,10 @@ def moments_quadrature_oracle(c: EigenstateCoeffs, m: int) -> float:
     The active wavevectors reduce the state to a function of one or two
     cyclic variables, so a uniform grid with more than m points per axis
     integrates w^m exactly.  Independent of moment_bracket by design.
+    Orders other than whole m >= 1 raise UnsupportedMoment.
     """
-    if m < 1:
-        raise UnsupportedMoment(f"moment order must be >= 1, got {m}")
+    if not (m >= 1 and float(m).is_integer()):
+        raise UnsupportedMoment(f"moment order must be a whole number >= 1, got {m}")
     n = max(4 * m, 8)
     u = np.arange(n) * 2.0 * math.pi / n
     if c.info.dim == 2:
@@ -307,8 +295,9 @@ def _zero_floor(value: float, scale: float) -> float:
     return 0.0 if value <= 1e-13 * max(scale, 1e-300) else value
 
 
-def enumerate_candidates(md: MomentData) -> list[CandidateTriple]:
-    """All squared-amplitude triples consistent with 6D moment data (at most 6)."""
+def enumerate_candidates(md: MomentData) -> list[tuple[float, float, float]]:
+    """All (x, y, z) tuples of squared amplitudes consistent with 6D moment
+    data, sorted, at most 6."""
     targets = (md.quadratic, md.quartic, md.sextic_reduced)
     roots = solve_cubic(reduce_to_cubic(*targets))
     triples: list[tuple[float, float, float]] = []
@@ -321,14 +310,13 @@ def enumerate_candidates(md: MomentData) -> list[CandidateTriple]:
                             _zero_floor(z, md.quadratic)))
 
     triples.sort()
-    out: list[CandidateTriple] = []
+    out: list[tuple[float, float, float]] = []
     for t in triples:
-        if any(max(abs(t[i] - o.as_tuple()[i]) for i in range(3)) <= TRIPLE_DEDUP
-               for o in out):
+        if any(max(abs(u - v) for u, v in zip(t, o)) <= TRIPLE_DEDUP for o in out):
             continue
         fwd = forward_moments(*t)
         if all(abs(f - c) <= 1e-7 * max(1.0, abs(c)) for f, c in zip(fwd, targets)):
-            out.append(CandidateTriple(*t))
+            out.append(t)
     if len(out) > 6:
         raise InternalInvariant(f"cubic elimination produced {len(out)} triples")
     return out

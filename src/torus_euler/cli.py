@@ -176,14 +176,9 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
-def run_battery(full: bool) -> bool:
-    """The verification battery; its module is imported only by `verify`."""
-    from .verify import run_battery as battery
-
-    return battery(full=full)
-
-
 def cmd_verify(args) -> int:
+    from .verify import run_battery
+
     ok = run_battery(full=args.full)
     if ok:
         print("verification passed")

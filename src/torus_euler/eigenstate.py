@@ -511,6 +511,12 @@ def minimize(fun: Callable[[np.ndarray], float], x0) -> _Minimum:
     return _Minimum(sim[0], float(np.min(fsim)), nfev)
 
 
+def _require_exponent(p_norm: float) -> None:
+    """An orbit distance's exponent: 1 <= p < inf (NaN fails too)."""
+    if not 1.0 <= p_norm < math.inf:
+        raise BadExponent(f"p_norm must be finite and >= 1, got {p_norm}")
+
+
 def _orbit_distance_lp(f: RealField, F: SpectralField, c: EigenstateCoeffs,
                        p_norm: float) -> tuple[float, np.ndarray]:
     """Translation-minimized L^p distance on the samples f, searched from the
@@ -518,8 +524,7 @@ def _orbit_distance_lp(f: RealField, F: SpectralField, c: EigenstateCoeffs,
     for p > 1, and for p = 1, where the Hessian vanishes almost everywhere,
     the in-package Nelder-Mead ``minimize`` on the objective divided by its
     value at the seed."""
-    if not 1.0 <= p_norm < math.inf:
-        raise BadExponent(f"p_norm must be finite and >= 1, got {p_norm}")
+    _require_exponent(p_norm)
     # the L2 seed reads the eigenmodes, so it refuses a grid whose band lacks
     # one before the parts are built
     st = np.array(_cell_coords(_orbit_distance_l2(F, c)[1], c.info))

@@ -37,6 +37,7 @@ from .eigenstate import (
     _orbit_distance_lp,
     _eigenspace,
     _mode_indices,
+    _require_exponent,
     _theta,
     _wrap_phase,
     orbit_distance,
@@ -450,6 +451,7 @@ def stability_experiment(reference: EigenstateCoeffs, epsilon: float,
     """
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    _require_exponent(p_norm)
     grid = config.grid
     base = synthesize_eigenstate(reference, grid)
     rng = np.random.default_rng(perturbation_seed)
@@ -482,8 +484,10 @@ def stability_ensemble(reference: EigenstateCoeffs, epsilons, seeds,
     pool; with one worker or one job the jobs run in this process.  Pool
     workers are spawned, so a script that calls this needs a ``__main__`` guard.
     A grid too coarse for the reference or its perturbation band raises
-    ``GridTooCoarse`` here too, before the iterator is returned.
+    ``GridTooCoarse``, and p_norm outside 1 <= p < inf raises ``BadExponent``,
+    here too, before the iterator is returned.
     """
+    _require_exponent(p_norm)
     _mode_indices(reference.info, config.grid)
     _require_band(config.grid, _KMAX_RHO * reference.info.rho)
     jobs = [(eps, seed) for eps in epsilons for seed in seeds]

@@ -110,10 +110,6 @@ class DualBasis:
     def matrix(self) -> np.ndarray:
         return np.array([self.xi_star, self.eta_star], dtype=float)
 
-    def to_lattice_basis(self) -> LatticeBasis:
-        """View the dual lattice as a primal lattice (for double-dual checks)."""
-        return LatticeBasis(self.xi_star, self.eta_star)
-
 
 @dataclass(frozen=True)
 class ShortestVectorSet:

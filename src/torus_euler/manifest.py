@@ -149,9 +149,6 @@ class ExperimentManifest:
             blocks.append("\n".join(lines))
         return "\n\n".join(blocks) + "\n"
 
-    def to_file(self, path) -> None:
-        Path(path).write_text(self.to_text())
-
     @classmethod
     def from_text(cls, text: str) -> "ExperimentManifest":
         cp = configparser.ConfigParser(interpolation=None)

@@ -30,7 +30,6 @@ __all__ = [
     "sample_points",
     "analyze",
     "synthesize",
-    "project_mean_zero",
     "random_mean_zero_field",
     "green_apply",
     "laplacian_apply",
@@ -205,11 +204,6 @@ def synthesize(F: SpectralField) -> RealField:
     return RealField(F.grid, np.fft.irfft2(F.coeffs, s=(F.grid.n1, F.grid.n2), norm="forward"))
 
 
-def project_mean_zero(f: RealField) -> RealField:
-    """Subtract the sample mean."""
-    return RealField(f.grid, f.samples - f.samples.mean())
-
-
 def random_mean_zero_field(grid: Grid, rng: np.random.Generator,
                            kmax: float | None = None) -> RealField:
     """Gaussian random field with zero mean, optionally band-limited to |k| <= kmax."""
@@ -284,13 +278,16 @@ def enstrophy(omega) -> float:
 
 
 def int_power(x: np.ndarray, m: int) -> np.ndarray:
-    """x**m for an integer m >= 1 by products, x^k = x^(k - k//2) * x^(k//2).
+    """x**m for a whole number m >= 1 by products, x^k = x^(k - k//2) * x^(k//2).
 
     numpy's ``**`` goes through the general power for m >= 3, which costs
     several times as much as these few products.  Each halving level holds
     at most two consecutive exponents, so at most four arrays are alive.
-    For m = 1 this is x itself.
+    For m = 1 this is x itself.  Any other m (fractional, below 1, NaN)
+    raises ``BadExponent``.
     """
+    if not (m >= 1 and float(m).is_integer()):
+        raise BadExponent(f"order must be a whole number >= 1, got {m}")
     levels = [{m}]
     while max(levels[-1]) > 1:
         levels.append({h for k in levels[-1] for h in (k - k // 2, max(k // 2, 1))})
@@ -301,8 +298,10 @@ def int_power(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def lp_norm(field, p: float) -> float:
-    """L^p norm by cell quadrature; exact only below the Nyquist limit for even p."""
-    if p < 1:
+    """L^p norm by cell quadrature for 1 <= p <= inf, inf being the max norm;
+    exact only below the Nyquist limit for even p.  Any other p (NaN too)
+    raises ``BadExponent``."""
+    if not p >= 1:
         raise BadExponent(f"p must be >= 1, got {p}")
     f = _as_real(field)
     if math.isinf(p):
@@ -313,9 +312,8 @@ def lp_norm(field, p: float) -> float:
 
 
 def casimir(omega, m: int) -> float:
-    """Integral of omega^m (the m-th Casimir of the transport dynamics)."""
-    if m < 1:
-        raise BadExponent(f"moment order must be >= 1, got {m}")
+    """Integral of omega^m (the m-th Casimir of the transport dynamics), for
+    a whole order m >= 1 (``int_power``'s rule)."""
     f = _as_real(omega)
     return float(int_power(f.samples, m).mean() * f.grid.area)
 

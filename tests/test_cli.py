@@ -199,7 +199,7 @@ def _small_manifest(tmp_path, **overrides):
     kwargs.update(overrides)
     man = ExperimentManifest(**kwargs)
     path = tmp_path / "exp.ini"
-    man.to_file(path)
+    path.write_text(man.to_text())
     return path
 
 
@@ -661,27 +661,27 @@ def test_blowup_exits_3(tmp_path, capsys):
 
 
 def test_verify_wiring(capsys, monkeypatch):
-    import torus_euler.cli as cli
+    import torus_euler.verify as verify
     from torus_euler.verify import CheckResult
 
-    monkeypatch.setattr(cli, "run_battery",
+    monkeypatch.setattr(verify, "run_battery",
                         lambda full=False: True)
     assert main(["verify"]) == 0
-    monkeypatch.setattr(cli, "run_battery",
+    monkeypatch.setattr(verify, "run_battery",
                         lambda full=False: False)
     assert main(["verify"]) == 4
     _ = CheckResult  # imported to assert the public surface exists
     capsys.readouterr()
 
 
-def test_verify_lines_carry_wall_time(monkeypatch):
+def test_verify_lines_carry_wall_time(capsys, monkeypatch):
     import torus_euler.verify as verify
     from torus_euler.verify import CheckResult
 
     monkeypatch.setattr(verify, "FAST_CHECKS", [lambda: CheckResult("good", True, "fine"),
                                                 lambda: CheckResult("bad", False, "off")])
-    lines = []
-    assert verify.run_battery(report=lines.append) is False
+    assert verify.run_battery() is False
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert re.fullmatch(r"\[PASS\] good: fine \(\d+\.\d\d s\)", lines[0])
     assert re.fullmatch(r"\[FAIL\] bad: off \(\d+\.\d\d s\)", lines[1])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_euler import (
+    BadExponent,
     Diagnostics,
     EigenstateCoeffs,
     Grid,
@@ -380,3 +381,19 @@ def test_stability_experiment_rejects_a_bad_epsilon(hex_info, hex_grid, eps):
     cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.1)
     with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
         stability_experiment(ref, eps, 1, 2.0, cfg)
+
+
+@pytest.mark.parametrize("p_norm", [math.inf, math.nan, 0.5])
+def test_stability_runs_refuse_a_bad_exponent_before_any_work(monkeypatch, hex_info,
+                                                              hex_grid, p_norm):
+    import torus_euler.euler as euler
+
+    ref = EigenstateCoeffs(hex_info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    cfg = SolverConfig(hex_grid, dt=1e-2, t_end=0.1)
+    monkeypatch.setattr(euler, "synthesize_eigenstate", lambda *a: pytest.fail("datum built"))
+    monkeypatch.setattr(euler, "_on_pool", lambda *a: pytest.fail("pool asked for"))
+    monkeypatch.setenv("TORUS_EULER_THREADS", "2")
+    with pytest.raises(BadExponent):
+        stability_experiment(ref, 1e-2, 1, p_norm, cfg)
+    with pytest.raises(BadExponent):
+        stability_ensemble(ref, (1e-2, 1e-3), (1,), p_norm, cfg)

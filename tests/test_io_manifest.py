@@ -112,7 +112,7 @@ def test_manifest_objects(tmp_path):
     ref = man.reference_coeffs()
     assert ref.amps == (1.0, 1.0, 1.0)
     path = tmp_path / "exp.ini"
-    man.to_file(path)
+    path.write_text(man.to_text())
     assert ExperimentManifest.from_file(path) == man
 
 

@@ -179,7 +179,8 @@ def test_dual_identities_hypothesis(x1, x2, e1, e2):
 
 def test_double_dual_returns_original():
     b = LatticeBasis((1.7, 0.3), (-0.5, 2.1))
-    dd = dual_basis(dual_basis(b).to_lattice_basis())
+    db = dual_basis(b)
+    dd = dual_basis(LatticeBasis(db.xi_star, db.eta_star))
     assert np.max(np.abs(dd.matrix - b.matrix)) < 1e-12
 
 

@@ -21,7 +21,6 @@ from torus_euler import (
     laplacian_apply,
     lp_norm,
     modes,
-    project_mean_zero,
     rhs,
     run,
     sample_points,
@@ -98,8 +97,6 @@ def test_hermitian_and_mean_invariants(hex_grid, rng):
     f = random_mean_zero_field(hex_grid, rng)
     F = analyze(f)
     F.validate()
-    g = project_mean_zero(RealField(hex_grid, f.samples + 3.7))
-    assert abs(g.samples.mean()) <= 1e-12 * np.max(np.abs(g.samples))
 
 
 @pytest.mark.parametrize("where,value", [
@@ -226,7 +223,16 @@ def test_exponent_guards(hex_grid, rng):
     with pytest.raises(BadExponent):
         lp_norm(f, 0.5)
     with pytest.raises(BadExponent):
+        lp_norm(f, math.nan)
+    with pytest.raises(BadExponent):
         casimir(f, 0)
+    # a fractional order used to loop in int_power's halving until memory ran out
+    with pytest.raises(BadExponent):
+        casimir(f, 2.5)
+    with pytest.raises(BadExponent):
+        casimir(f, 1.5)
+    with pytest.raises(BadExponent):
+        int_power(f.samples, 0)
 
 
 def test_gap_eigenspace_and_second_shell(hex_grid, hex_info, rng):
