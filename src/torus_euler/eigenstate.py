@@ -439,11 +439,15 @@ def _lp_newton(obj: _LpObjective, st: np.ndarray) -> tuple[np.ndarray, float]:
     return st, J
 
 
-# Nelder-Mead for p = 1: iteration cap, and the simplex's spread in the
-# coordinates and in the values below which it counts as converged.
+# Nelder-Mead for p = 1: iteration cap; the spread of the simplex, in cell
+# coordinates and in values relative to the best, at which it has converged;
+# and its start edge, far above _NM_XATOL so that the first steps follow J's
+# slope and not its rounding, and small against the cell so that the search
+# stays in the basin of the L2 seed.
 _NM_MAXITER = 200
 _NM_XATOL = 1e-10
 _NM_FATOL = 4.0 * np.finfo(float).eps
+_NM_STEP = 1e-3
 
 
 class _Minimum(NamedTuple):
@@ -453,62 +457,39 @@ class _Minimum(NamedTuple):
 
 
 def minimize(fun: Callable[[np.ndarray], float], x0) -> _Minimum:
-    """Nelder-Mead (Nelder & Mead 1965) on ``fun`` from ``x0``.
-
-    This is scipy's ``minimize(method="Nelder-Mead")`` with the options of
-    the p = 1 search, step for step and expression for expression, so that
-    its iterates are the same bits: the standard coefficients 1, 2, 1/2, 1/2
-    (reflection, expansion, contraction, shrink), a start simplex that moves
-    each coordinate by 5% (by 0.00025 if it is 0), and convergence once every
-    vertex lies within ``_NM_XATOL`` of the best and every value within
-    ``_NM_FATOL`` of its value, or after ``_NM_MAXITER`` iterations.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = len(x0)
+    """Nelder-Mead (Nelder & Mead 1965) on ``fun`` from the simplex x0, x0 +
+    _NM_STEP e_k, with the coefficients 1, 2, 1/2, 1/2 (reflection, expansion,
+    contraction, shrink), until it converges or for _NM_MAXITER iterations."""
     nfev = 0
 
-    def f(x):
+    def point(x):
         nonlocal nfev
         nfev += 1
-        return fun(np.copy(x))
+        return x, fun(x)
 
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(v) for v in sim], dtype=float)
-    for it in range(_NM_MAXITER):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-        if it == _NM_MAXITER - 1 or (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
-                                     and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
+    sim = np.asarray(x0, dtype=float) + _NM_STEP * np.eye(len(x0) + 1, len(x0), -1)
+    fsim = np.array([point(v)[1] for v in sim])
+    for it in range(_NM_MAXITER + 1):
+        order = np.argsort(fsim, kind="stable")
+        sim, fsim = sim[order], fsim[order]
+        if it == _NM_MAXITER or (np.max(np.abs(sim[1:] - sim[0])) <= _NM_XATOL
+                                 and fsim[-1] - fsim[0] <= _NM_FATOL * abs(fsim[0])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            # contract outside the worst vertex if the reflection beat it,
-            # else inside; shrink towards the best if the contraction fails
-            if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
+        xbar = sim[:-1].mean(axis=0)
+        xr, fr = point(2.0 * xbar - sim[-1])
+        if fr < fsim[0]:
+            xe, fe = point(3.0 * xbar - 2.0 * sim[-1])
+            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+        else:  # contract towards the better of xr and the worst vertex, else shrink
+            xc, fc = point(0.5 * (xbar + (xr if fr < fsim[-1] else sim[-1])))
+            if fc < min(fr, fsim[-1]):
+                sim[-1], fsim[-1] = xc, fc
             else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-    return _Minimum(sim[0], float(np.min(fsim)), nfev)
+                sim[1:] = 0.5 * (sim[0] + sim[1:])
+                fsim[1:] = [point(v)[1] for v in sim[1:]]
+    return _Minimum(sim[0], float(fsim[0]), nfev)
 
 
 def _require_exponent(p_norm: float) -> None:
@@ -522,8 +503,7 @@ def _orbit_distance_lp(f: RealField, F: SpectralField, c: EigenstateCoeffs,
     """Translation-minimized L^p distance on the samples f, searched from the
     exact L2 minimizer on the same field's coefficients F: safeguarded Newton
     for p > 1, and for p = 1, where the Hessian vanishes almost everywhere,
-    the in-package Nelder-Mead ``minimize`` on the objective divided by its
-    value at the seed."""
+    the Nelder-Mead ``minimize``."""
     _require_exponent(p_norm)
     # the L2 seed reads the eigenmodes, so it refuses a grid whose band lacks
     # one before the parts are built
@@ -532,11 +512,7 @@ def _orbit_distance_lp(f: RealField, F: SpectralField, c: EigenstateCoeffs,
     if p_norm > 1:
         st, val = _lp_newton(obj, st)
     else:
-        val = obj.value(st)
-        if val > 0.0:
-            # scaled to 1 at the seed, so that _NM_FATOL is a few ulps of J
-            res = minimize(lambda x: obj.value(x) / val, st)
-            st, val = res.x, float(res.fun) * val
+        st, val, _ = minimize(obj.value, st)
     return val ** (1.0 / p_norm), _cell_point(_wrap(st[0], 1.0), _wrap(st[1], 1.0), c.info)
 
 
@@ -548,9 +524,8 @@ def orbit_distance(f: RealField | SpectralField, c: EigenstateCoeffs,
 
     p_norm = 2 uses the exact spectral form on f's coefficients.  Other
     finite exponents start from the L2 minimizer and descend on f's samples:
-    Newton for p > 1, and for p = 1 a Nelder-Mead search whose iterates are
-    bit for bit those of scipy's (scipy itself is not needed).  For p = 2,
-    passing f's coefficients saves a transform.
+    Newton for p > 1, and Nelder-Mead for p = 1.  For p = 2, passing f's
+    coefficients saves a transform.
     """
     if p_norm == 2:
         return _orbit_distance_l2(_as_spectral(f), c)

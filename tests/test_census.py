@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from torus_euler import (
     same_orbit,
     solve_cubic,
 )
-from torus_euler.census import CENSUS_BOUNDS, MomentData, forward_moments, linf_datum
+from torus_euler.census import (CENSUS_BOUNDS, TRIPLE_DEDUP, MomentData, _polish, forward_moments,
+                                linf_datum)
 from torus_euler.eigenstate import DEFAULT_ORBIT_TOL
 from torus_euler.lattice import LatticeBasis, classify_eigenspace
 
@@ -188,6 +190,61 @@ def test_moment_data_bridge(hex_info, rng):
         assert abs(md.quadratic - want[0]) < 1e-9 * max(1, abs(want[0]))
         assert abs(md.quartic - want[1]) < 1e-9 * max(1, abs(want[1]))
         assert abs(md.sextic_reduced - want[2]) < 1e-9 * max(1, abs(want[2]))
+
+
+# One constructed input per branch of the moment route.
+
+@pytest.mark.parametrize("quadratic,quartic", [(-1e-12, 1.0), (1.0, -1e-12)])
+def test_moment_data_refuses_a_negative_sum_of_squares(quadratic, quartic):
+    with pytest.raises(ValueError, match="moment data out of range"):
+        MomentData(2, quadratic, quartic)
+
+
+def test_polish_stops_where_newton_has_no_step():
+    # x^3 - 1 has a zero derivative at 0, and at 1e200 the cubic overflows
+    assert _polish((1.0, 0.0, 0.0, -1.0), 0.0) == 0.0
+    assert _polish((1.0, 0.0, 0.0, 0.0), 1e200) == 1e200
+
+
+def test_solve_cubic_reads_a_double_root_next_to_a_simple_one_as_triple():
+    # x^2 (x - 1e-9): the inflection point is no root, but the double root at
+    # 0 and the simple one at 1e-9 lie within 1e-8 of each other
+    assert solve_cubic((1.0, -1e-9, 0.0, 0.0)) == [(0.0, 3)]
+
+
+def test_solve_cubic_merges_close_simple_roots():
+    # roots 0, 5e-9 and 1e-4: on this scale neither critical point passes the
+    # double-root gate, so the close pair is merged after the closed form
+    roots = solve_cubic(tuple(np.poly([0.0, 5e-9, 1e-4])))
+    assert [m for _, m in roots] == [2, 1]
+    assert abs(roots[0][0]) <= 1e-8 and abs(roots[1][0] - 1e-4) <= 1e-12
+
+
+def test_back_substitute_refuses_a_negative_squared_amplitude():
+    # y, z = (1 +- sqrt 3) / 2: z is negative beyond CLAMP
+    assert back_substitute(0.0, 1.0, 0.0) == []
+
+
+def test_enumerate_candidates_skips_a_negative_cubic_root():
+    # the cubic's roots are the triple's entries, -1, 1 and 2; no triple of
+    # squared amplitudes has these moments
+    c1, c2, c3 = forward_moments(-1.0, 1.0, 2.0)
+    assert [r for r, _ in solve_cubic(reduce_to_cubic(c1, c2, c3))][0] < 0.0
+    assert enumerate_candidates(MomentData(6, c1, c2, c3, cubic=0.0)) == []
+
+
+def test_enumerate_candidates_merges_triples_within_the_dedup_tolerance():
+    # the two small roots differ by 5e-8: both are kept as cubic roots, but
+    # the triples they start differ by less than TRIPLE_DEDUP and count once
+    trip = (1e-4, 1e-4 + 5e-8, 1e-3)
+    md = MomentData(6, *forward_moments(*trip), cubic=0.0)
+    assert len(solve_cubic(reduce_to_cubic(md.quadratic, md.quartic, md.sextic_reduced))) == 3
+    got = enumerate_candidates(md)
+    assert len(got) == 3
+    assert all(max(abs(u - v) for u, v in zip(a, b)) > TRIPLE_DEDUP
+               for i, a in enumerate(got) for b in got[i + 1:])
+    assert all(min(max(abs(u - v) for u, v in zip(t, perm)) for perm in itertools.permutations(trip))
+               <= 1e-10 for t in got)
 
 
 def test_census_dim2(rect_info):

@@ -28,7 +28,7 @@ RECORDED_WITH_NUMPY = "2.4.6"
 GOLDEN = {
     ("hexagonal", 2.0): "8ffc2df3a2c2ef9c0a108449e281f1b78d2f1a2a9632f60c8409634194d16122",
     ("square", 4.0): "2466c7ae7886d9fd1138f45904544ba53dc9c5a8f3ad35d89a436b292618b9c1",
-    ("hexagonal", 1.0): "90e4ffdab097bf35577625b8af787d2c6815b8deb3f9ead30157546abdc370c2",
+    ("hexagonal", 1.0): "e7f13fc2d768b2bf98cee0b13c21d8b575a030451357c5072ca77e53e8b580b3",
     ("rectangular:3.0", 3.0): "74599402d86aab31228a0fc49559cc02c3eb01b1b78e468ed1a7a6178adffb19",
 }
 

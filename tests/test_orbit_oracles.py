@@ -6,8 +6,7 @@ phase grid and the Newton polish; ``_oracle_lp`` is the L^p distance as it
 stood before the search started from the L2 minimizer: a 32x32 scan of the
 cell, then Nelder-Mead from its best point, with one full-grid objective
 call per scan point and per simplex vertex.  They are kept only as
-references.  scipy's Nelder-Mead is
-also the oracle of ``eigenstate.minimize``, the package's own port of it.
+references.
 """
 
 import math
@@ -33,7 +32,7 @@ from torus_euler import (
     translate_coeffs,
 )
 import torus_euler
-from torus_euler import eigenstate
+from torus_euler import eigenstate, verify
 from torus_euler.eigenstate import (
     _cell_coords,
     _LpObjective,
@@ -226,46 +225,55 @@ def test_lp_derivatives_match_central_differences(preset, n, p_norm):
     assert np.max(np.abs(fd_hess - hess)) <= 1e-4 * np.max(np.abs(hess))
 
 
-# the options that make scipy's Nelder-Mead the p = 1 search of ``orbit_distance``
-_NM_OPTIONS = {"maxiter": 200, "xatol": 1e-10, "fatol": 4.0 * np.finfo(float).eps}
-
-
-def _assert_scipys_search(fun, x0):
-    got = eigenstate.minimize(fun, x0)
-    want = minimize(fun, x0, method="Nelder-Mead", options=_NM_OPTIONS)
-    assert np.array_equal(got.x, want.x)
-    assert got.fun == want.fun
-    assert got.nfev == want.nfev
-    return got
-
-
 @pytest.mark.parametrize("preset,n,p_norm,eps,seed", [c for c in _lp_cases() if c[2] == 1.0])
-def test_nelder_mead_is_scipys_on_the_p1_objective(preset, n, p_norm, eps, seed):
+def test_nelder_mead_descends_on_the_p1_objective(preset, n, p_norm, eps, seed):
     c, _, f, _ = _lp_state(preset, n, p_norm, eps, seed)
     obj = _LpObjective(f, c, p_norm)
     st = np.array(_cell_coords(orbit_distance(f, c, 2.0)[1], c.info))
-    val = obj.value(st)
-    assert val > 0.0
-    _assert_scipys_search(lambda x: obj.value(x) / val, st)
+    res = eigenstate.minimize(obj.value, st)
+    assert res.fun == obj.value(res.x) <= obj.value(st)
+    assert all(res.fun <= obj.value(res.x + s * h) for h in 1e-6 * np.eye(2) for s in (1.0, -1.0))
+    assert res.nfev < 3 + 4 * eigenstate._NM_MAXITER
 
 
-def test_nelder_mead_is_scipys_from_a_zero_coordinate():
-    # a zero coordinate starts the simplex 0.00025 away instead of 5%
-    res = _assert_scipys_search(
-        lambda x: float((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2),
-        np.array([-1.2, 0.0]))
-    assert np.max(np.abs(res.x - 1.0)) < 1e-4
+def test_nelder_mead_converges_on_a_quadratic():
+    # from a zero coordinate, far from the minimum in units of the start step
+    res = eigenstate.minimize(lambda x: float(1.0 + (x[0] - 0.3) ** 2 + 10.0 * (x[1] - 0.7) ** 2),
+                              np.array([0.0, 0.0]))
+    assert np.max(np.abs(res.x - [0.3, 0.7])) < 1e-7
+    assert res.nfev < 3 + 4 * eigenstate._NM_MAXITER
 
 
-def test_nelder_mead_is_scipys_through_shrinks():
+def test_nelder_mead_through_shrinks_to_the_iteration_cap():
     # Every point off the start simplex is worse than all its vertices, so each
     # iteration is a reflection, an inside contraction and a shrink of two
-    # vertices, and the search ends at the iteration cap.
+    # vertices, and the search ends at the iteration cap at its start.
+    values = iter([0.0, 1.0, 2.0])
     x0 = np.array([0.3, 0.7])
-    start = {(0.3, 0.7): 0.0, (0.3 * 1.05, 0.7): 1.0, (0.3, 0.7 * 1.05): 2.0}
-    res = _assert_scipys_search(lambda x: start.get((x[0], x[1]), 3.0), x0)
-    assert res.nfev == 3 + 4 * (eigenstate._NM_MAXITER - 1)
+    res = eigenstate.minimize(lambda x: next(values, 3.0), x0)
+    assert res.nfev == 3 + 4 * eigenstate._NM_MAXITER
     assert np.array_equal(res.x, x0) and res.fun == 0.0
+
+
+def test_orbit_distance_check_passes():
+    result = verify.check_orbit_distance()
+    assert result.ok, result.detail
+
+
+# a search that stops where it starts: the p = 1 Nelder-Mead, the p > 1 Newton
+_STAY_AT_START = {
+    "minimize": lambda fun, x0: eigenstate._Minimum(x0, fun(x0), 1),
+    "_lp_newton": lambda obj, st: (st, obj.value(st)),
+}
+
+
+@pytest.mark.parametrize("search", _STAY_AT_START)
+def test_orbit_distance_check_fails_when_the_search_returns_its_start(monkeypatch, search):
+    # every exact translate in the check is solved by the L2 seed already
+    monkeypatch.setattr(eigenstate, search, _STAY_AT_START[search])
+    result = verify.check_orbit_distance()
+    assert not result.ok
+    assert "search stopped above its seed or a neighbour" in result.detail
 
 
 def test_runtime_does_not_import_scipy():
