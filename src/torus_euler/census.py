@@ -23,16 +23,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .coeffs import (DEFAULT_ORBIT_TOL, EigenstateCoeffs, _theta, _wrap_phase, circ_dist,
+                     same_orbit)
 from .errors import (
     DegenerateLeadingCoefficient,
     InconsistentMoments,
     InternalInvariant,
     UnsupportedMoment,
 )
-from .eigenstate import (DEFAULT_ORBIT_TOL, EigenstateCoeffs, _theta, _wrap_phase, circ_dist,
-                         same_orbit)
 
 __all__ = [
     "MomentData",
@@ -89,7 +87,11 @@ class OrbitCensus:
 
 def moment_bracket(c: EigenstateCoeffs, m: int) -> float:
     """Closed-form bracket polynomial whose kappa_m multiple equals the
-    cell mean of w^m (kappa = 1/2, 3/2, 3/8, 5/16 for m = 2, 3, 4, 6)."""
+    cell mean of w^m (kappa = 1/2, 3/2, 3/8, 5/16 for m = 2, 3, 4, 6).  numpy
+    loads here, not with the module, as the census needs none; plain floats
+    would change bits, since numpy's powers can differ from libm's."""
+    import numpy as np
+
     a = np.array(c.amps)
     if m == 2:
         return float(np.sum(a**2))
@@ -122,6 +124,8 @@ def moments_quadrature_oracle(c: EigenstateCoeffs, m: int) -> float:
     """
     if not (m >= 1 and float(m).is_integer()):
         raise UnsupportedMoment(f"moment order must be a whole number >= 1, got {m}")
+    import numpy as np
+
     n = max(4 * m, 8)
     u = np.arange(n) * 2.0 * math.pi / n
     if c.info.dim == 2:

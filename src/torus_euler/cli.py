@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 verification failure.  Each command imports the modules it uses, so the
-lattice and census commands never load the solver.
+lattice and census commands never load the solver, and ``census`` and
+``eigenspace`` never load numpy.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ def cmd_eigenspace(args) -> int:
 
 def cmd_census(args) -> int:
     from .census import CENSUS_BOUNDS, linf_datum, orbit_census
-    from .eigenstate import orbit_invariant, same_orbit
-    from .io import parse_coeffs
+    from .coeffs import orbit_invariant, parse_coeffs, same_orbit
     from .lattice import classify_eigenspace
     from .manifest import lattice_basis
 

@@ -31,15 +31,13 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from .coeffs import EigenstateCoeffs, _theta, _wrap_phase
 from .errors import NumericalBlowup
 from .eigenstate import (
-    EigenstateCoeffs,
     _orbit_distance_lp,
     _eigenspace,
     _mode_indices,
     _require_exponent,
-    _theta,
-    _wrap_phase,
     orbit_distance,
     project_to_e1,
     synthesize_eigenstate,

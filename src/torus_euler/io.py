@@ -1,4 +1,6 @@
-"""On-disk formats: TORF binary field snapshots and plain-text coefficient records."""
+"""On-disk format of field snapshots: TORF, a binary header and the row-major samples.
+
+Coefficient records are plain text; ``coeffs`` reads and writes them."""
 
 from __future__ import annotations
 
@@ -7,13 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigenstate import EigenstateCoeffs
 from .errors import ShapeMismatch
-from .lattice import EigenspaceInfo, LatticeBasis
-from .manifest import record_values
+from .lattice import LatticeBasis
 from .spectral import Grid, RealField
 
-__all__ = ["write_torf", "read_torf", "format_coeffs", "parse_coeffs"]
+__all__ = ["write_torf", "read_torf"]
 
 TORF_MAGIC = b"TORF"
 TORF_VERSION = 1
@@ -48,24 +48,3 @@ def read_torf(path) -> RealField:
     samples = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n1, n2)
     grid = Grid(LatticeBasis((x1, x2), (e1, e2)), n1, n2)
     return RealField(grid, samples.copy())
-
-
-def format_coeffs(c: EigenstateCoeffs) -> str:
-    """One-line record: dim followed by amplitude/phase pairs."""
-    parts = [str(c.info.dim)]
-    for a, al in zip(c.amps, c.phases):
-        parts.append(repr(float(a)))
-        parts.append(repr(float(al)))
-    return " ".join(parts)
-
-
-def parse_coeffs(record: str | tuple[float, ...], info: EigenspaceInfo) -> EigenstateCoeffs:
-    """The one reader of coefficient records (``census --coeffs``, ``stability
-    --coeffs``, a manifest's ``reference``), as text or ``record_values``: the
-    full record (leading dim) or just the pairs, whose count EigenstateCoeffs checks."""
-    values = record_values(record) if isinstance(record, str) else record
-    if len(values) % 2 == 1:
-        dim, values = values[0], values[1:]
-        if dim != info.dim:
-            raise ValueError(f"record is for dim {dim}, eigenspace has dim {info.dim}")
-    return EigenstateCoeffs(info, tuple(values[0::2]), tuple(values[1::2]))

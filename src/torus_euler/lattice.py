@@ -5,14 +5,14 @@ A torus is the plane modulo the lattice spanned by two generators
 eigenvalues, the first eigenspace) is driven by the dual lattice, so this
 module provides the dual basis, the Gram form of the dual, the set of
 shortest nonzero dual vectors, and the resulting first-eigenspace data.
+Only the helpers that return arrays (the ``matrix`` properties, ``gram_dual``
+and ``shortest_vectors``) load numpy; classifying an eigenspace needs none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateBasis, InternalInvariant
 
@@ -96,6 +96,8 @@ class LatticeBasis:
     @property
     def matrix(self) -> np.ndarray:
         """Generators as rows of a 2x2 array."""
+        import numpy as np
+
         return np.array([self.xi, self.eta], dtype=float)
 
 
@@ -108,6 +110,8 @@ class DualBasis:
 
     @property
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.xi_star, self.eta_star], dtype=float)
 
 
@@ -243,6 +247,8 @@ def _shell(db: DualBasis):
 
 def shortest_vectors(basis: LatticeBasis) -> ShortestVectorSet:
     """All dual vectors of minimal nonzero length, with integer coordinates."""
+    import numpy as np
+
     rho, shell, reps = _shell(dual_basis(basis))
     return ShortestVectorSet(
         rho=rho,

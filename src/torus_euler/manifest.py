@@ -128,7 +128,7 @@ class ExperimentManifest:
         )
 
     def reference_coeffs(self) -> EigenstateCoeffs:
-        from .io import parse_coeffs
+        from .coeffs import parse_coeffs  # coeffs imports this module
 
         try:
             return parse_coeffs(self.reference, classify_eigenspace(self.basis()))

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import census as cn
+from . import coeffs as co
 from . import eigenstate as eig
 from . import euler
 from . import lattice as lat
@@ -86,14 +87,14 @@ def _transformed(rng: np.random.Generator, basis: lat.LatticeBasis):
 
 
 def _random_state(rng: np.random.Generator, info, zero_frac: float = 0.25,
-                  tie_frac: float = 0.0) -> eig.EigenstateCoeffs:
+                  tie_frac: float = 0.0) -> co.EigenstateCoeffs:
     amps = rng.uniform(0.2, 2.0, info.npairs)
     if info.npairs > 1 and rng.uniform() < zero_frac:
         amps[rng.integers(info.npairs)] = 0.0
     if info.npairs > 2 and rng.uniform() < tie_frac:
         amps[1] = amps[0]
     phases = rng.uniform(0.0, 2.0 * math.pi, info.npairs)
-    return eig.EigenstateCoeffs(info, tuple(amps), tuple(phases))
+    return co.EigenstateCoeffs(info, tuple(amps), tuple(phases))
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +403,12 @@ def check_census_bounds() -> CheckResult:
             if out.count > cn.CENSUS_BOUNDS[dim]:
                 return CheckResult("census-bounds", False,
                                    f"dim {dim} case {i}: count {out.count}")
-            if not any(eig.same_orbit(ref, r) for r in out.representatives):
+            if not any(co.same_orbit(ref, r) for r in out.representatives):
                 return CheckResult("census-bounds", False,
                                    f"dim {dim} case {i}: reference not in census")
             for a in range(out.count):
                 for b in range(a + 1, out.count):
-                    if eig.same_orbit(out.representatives[a], out.representatives[b]):
+                    if co.same_orbit(out.representatives[a], out.representatives[b]):
                         return CheckResult("census-bounds", False,
                                            f"dim {dim} case {i}: duplicate orbits")
     return CheckResult("census-bounds", True, f"{n} references per dimension")
@@ -426,11 +427,11 @@ def check_orbit_equivalence() -> CheckResult:
             if kind == 0:  # genuine translate
                 other = eig.translate_coeffs(c, rng.uniform(-4.0, 4.0, 2))
             elif kind == 1:  # same amplitudes, fresh phases
-                other = eig.EigenstateCoeffs(
+                other = co.EigenstateCoeffs(
                     info, c.amps, tuple(rng.uniform(0, 2 * math.pi, info.npairs)))
             else:  # unrelated state
                 other = _random_state(rng, info, zero_frac=0.3)
-            said = eig.same_orbit(c, other)
+            said = co.same_orbit(c, other)
             solved = eig.solve_translation(c, other) is not None
             if said != solved:
                 disagreements += 1
@@ -466,7 +467,7 @@ def check_orbit_distance() -> CheckResult:
             if d1 > tol:
                 problems.append(f"case {i}: shifted L^{p_norm:g} distance {d1:.2e}")
             moved = eig.translate_coeffs(c, p1)
-            perr = max(eig.circ_dist(a, b) for a, b in zip(moved.phases, want.phases))
+            perr = max(co.circ_dist(a, b) for a, b in zip(moved.phases, want.phases))
             if perr > 1e-6:
                 problems.append(f"case {i}: L^{p_norm:g} translation off by {perr:.2e}")
         F = sp.analyze(f)
@@ -557,8 +558,8 @@ def check_solver_steadiness() -> CheckResult:
     info = lat.classify_eigenspace(basis)
     grid = sp.Grid(basis, 128, 128)
     cfg = euler.SolverConfig(grid, dt=1e-2, t_end=10.0, diag_stride=100)
-    states = [eig.EigenstateCoeffs(info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
-              eig.EigenstateCoeffs(info, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    states = [co.EigenstateCoeffs(info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+              co.EigenstateCoeffs(info, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
               _random_state(np.random.default_rng(111), info, zero_frac=0.0)]
     worst = 0.0
     for c in states:
@@ -608,7 +609,7 @@ def check_stability_witness() -> CheckResult:
     basis = lat.preset_basis("hexagonal")
     info = lat.classify_eigenspace(basis)
     grid = sp.Grid(basis, 128, 128)
-    ref = eig.EigenstateCoeffs(info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    ref = co.EigenstateCoeffs(info, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     cfg = euler.SolverConfig(grid, dt=1e-2, t_end=20.0, diag_stride=50)
     jobs = euler.stability_ensemble(ref, (1e-3, 1e-2), (1, 2, 3, 4, 5), 2.0, cfg)
     worst_amp, worst_theta = 0.0, 0.0

@@ -22,7 +22,7 @@ from torus_euler import (
 )
 from torus_euler.census import (CENSUS_BOUNDS, TRIPLE_DEDUP, MomentData, _polish, forward_moments,
                                 linf_datum)
-from torus_euler.eigenstate import DEFAULT_ORBIT_TOL
+from torus_euler.coeffs import DEFAULT_ORBIT_TOL
 from torus_euler.lattice import LatticeBasis, classify_eigenspace
 
 KAPPA = {2: 0.5, 3: 1.5, 4: 0.375, 6: 5.0 / 16.0}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -67,6 +68,32 @@ def test_census_prints_a_phase_on_its_period_as_0(capsys):
                            "--coeffs", "1 0.30000000000000004 1 0 1 0.3")
     assert code == 0
     assert " phases=0.0,0.0,0.0 invariant=1.0,0.0 " in out
+
+
+# sha256 of the census command's stdout for three references.
+CENSUS_OUTPUT = {
+    ("hexagonal", "1 0.7 0.3 0.4 1.1 2.0"):
+        "813dd16e2c9762b51f0d3b7bfa625484aed8e17a8f19f87c3c488cc05aa77d44",
+    ("square", "1 0.5 0.5 1"):
+        "9498c0ccfe0b227fd816962ef3310011881cae8ada2190eb1af30889e24c1db5",
+    ("rectangular:3", "0.8 0.2"):
+        "cbe49f7f6649bc00be091167e13d6dd4ac75c36c67428de2aac475b01fcd5668",
+}
+
+
+@pytest.mark.parametrize("preset,coeffs", CENSUS_OUTPUT, ids=[p for p, _ in CENSUS_OUTPUT])
+def test_census_output_bytes(capsys, preset, coeffs):
+    code, out, _ = run_cli(capsys, "census", "--preset", preset, "--coeffs", coeffs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_OUTPUT[preset, coeffs]
+
+
+def test_census_prints_a_negative_zero_amplitude_as_0(capsys):
+    code, out, _ = run_cli(capsys, "census", "--preset", "hexagonal",
+                           "--coeffs", "-0.0 0 1 0 1 0")
+    assert code == 0
+    assert "rep=0 amps=0.0,1.0,1.0 phases=0.0,0.0,0.0 invariant=0.0,0.0 " in out
+    assert "-0.0" not in out
 
 
 def test_unknown_flag_exits_2():
@@ -705,39 +732,76 @@ def test_cli_import_leaves_verify_and_the_pool_unloaded():
 
 
 _LATTICE_INFO = {"cli", "errors", "lattice", "manifest"}
-_SOLVER = _LATTICE_INFO | {"eigenstate", "euler", "io", "spectral"}
+_SOLVER = _LATTICE_INFO | {"coeffs", "eigenstate", "euler", "spectral"}
 
 
 @pytest.mark.parametrize("code, modules, numpy", [
     ("import torus_euler", set(), False),
     ("import torus_euler.cli", {"cli", "errors"}, False),
-    ("import torus_euler.lattice", {"errors", "lattice"}, True),
+    ("import torus_euler.lattice", {"errors", "lattice"}, False),
     ("from torus_euler import lattice, census",
-     {"census", "eigenstate", "errors", "lattice", "spectral"}, True),
+     {"census", "coeffs", "errors", "lattice", "manifest"}, False),
     ("from torus_euler.cli import main; main(['lattice-info', '--preset', 'square'])",
      _LATTICE_INFO, True),
     ("from torus_euler.cli import main; "
      "main(['census', '--preset', 'hexagonal', '--coeffs', '1 0 1 0 1 0'])",
-     _LATTICE_INFO | {"census", "eigenstate", "io", "spectral"}, True),
+     _LATTICE_INFO | {"census", "coeffs"}, False),
     ("from torus_euler.cli import main; main(['eigenspace', '--preset', 'square'])",
-     _LATTICE_INFO, True),
+     _LATTICE_INFO, False),
     ("from torus_euler.cli import main; assert main(['stability', '--manifest', {manifest!r}, "
      "'--eps', '0.01', '--seed', '1', '--output', {out!r}]) == 0", _SOLVER, True),
     ("from torus_euler.cli import main; "
      "assert main(['simulate', '--manifest', {manifest!r}, '--output', {out!r}]) == 0",
-     _SOLVER, True),
+     _SOLVER | {"io"}, True),
 ], ids=["package", "cli", "lattice", "from-import", "lattice-info", "census", "eigenspace",
         "stability", "simulate"])
 def test_each_entry_point_loads_only_what_it_uses(tmp_path, code, modules, numpy):
     """Lattice and census work never loads the Euler solver, and neither the
     package nor the CLI loads a submodule or numpy before a command runs.
-    The solver commands run a hexagonal 16^2 manifest for one step."""
+    Only lattice-info, for its shortest-vector arrays, and the solver commands
+    load numpy.  The solver commands run a hexagonal 16^2 manifest for one step."""
     manifest = _small_manifest(tmp_path, n1=16, n2=16, dt=0.01, t_end=0.01,
                                epsilons=(), seeds=())
     loaded = _loaded(code.format(manifest=str(manifest), out=str(tmp_path / "out")))
     assert {m for m in loaded if m.startswith("torus_euler.")} == {
         f"torus_euler.{m}" for m in modules}
     assert ("numpy" in loaded) == numpy
+
+
+# Census queries as a library user makes them: classify the torus, build the
+# reference, take its census.  Each torus of dims 2, 4 and 6 is rotated and
+# scaled, then given the unimodular change of basis (xi, eta) -> (xi + 2 eta,
+# xi + 3 eta), which keeps the lattice but not the presets' alignment.
+_CENSUS_QUERIES = """
+import math
+from torus_euler.census import orbit_census
+from torus_euler.cli import main
+from torus_euler.coeffs import EigenstateCoeffs
+from torus_euler.lattice import LatticeBasis, classify_eigenspace
+
+tau, c, s = 2.0 * math.pi, 1.3 * math.cos(0.7), 1.3 * math.sin(0.7)
+tori = {2: ((tau, 0.0), (0.0, 1.4 * tau)), 4: ((tau, 0.0), (0.0, tau)),
+        6: ((tau, 0.0), (tau / 2.0, tau * math.sqrt(3.0) / 2.0))}
+for dim, (xi, eta) in tori.items():
+    for u in (((1, 0), (0, 1)), ((1, 2), (1, 3))):
+        rows = [(a * xi[0] + b * eta[0], a * xi[1] + b * eta[1]) for a, b in u]
+        info = classify_eigenspace(LatticeBasis(*[(c * x - s * y, s * x + c * y)
+                                                  for x, y in rows]))
+        assert info.dim == dim
+        ref = EigenstateCoeffs(info, (1.0, 0.7, 0.4)[:info.npairs],
+                               (0.3, 1.1, 2.0)[:info.npairs])
+        assert orbit_census(ref).count >= 1
+assert main(['census', '--xi', '1', '0.2', '--eta', '-0.3', '1.5', '--coeffs', '1 0.5']) == 0
+assert main(['census', '--preset', 'hexagonal', '--coeffs', '1 0.7 0.3 0.4 1.1 2.0']) == 0
+assert main(['eigenspace', '--preset', 'hexagonal']) == 0
+"""
+
+
+def test_census_queries_and_commands_never_load_numpy():
+    """The census is scalar Python, and so is the path to it: classifying the
+    torus, building and parsing coefficient records, and the census and
+    eigenspace commands.  A fresh interpreter that runs them holds no numpy."""
+    assert "numpy" not in _loaded(_CENSUS_QUERIES.strip())
 
 
 def test_stability_without_coeffs_or_a_manifest_is_config_error(tmp_path, capsys):

@@ -31,7 +31,8 @@ from torus_euler import (
     translate_coeffs,
     write_torf,
 )
-from torus_euler.eigenstate import _cell_coords, _LpObjective, _wrap, circ_dist
+from torus_euler.coeffs import _wrap, circ_dist
+from torus_euler.eigenstate import _cell_coords, _LpObjective
 from torus_euler.spectral import lp_norm, random_mean_zero_field, sample_points
 
 import full_layout as fl
@@ -50,6 +51,13 @@ def test_coeffs_canonicalization(hex_info):
         EigenstateCoeffs(hex_info, (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         EigenstateCoeffs(hex_info, (1.0, 1.0), (0.0, 0.0))
+
+
+def test_coeffs_store_a_negative_zero_amplitude_as_zero(hex_info):
+    c = EigenstateCoeffs(hex_info, (-0.0, 1.0, 1.0), (0.5, 0.0, 0.0))
+    assert [math.copysign(1.0, a) for a in c.amps] == [1.0, 1.0, 1.0]
+    assert c.phases == (0.0, 0.0, 0.0)
+    assert c == EigenstateCoeffs(hex_info, (0.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])

@@ -30,7 +30,8 @@ from torus_euler import (
     synthesize,
     synthesize_eigenstate,
 )
-from torus_euler.eigenstate import _cell_coords, circ_dist
+from torus_euler.coeffs import circ_dist
+from torus_euler.eigenstate import _cell_coords
 from torus_euler.spectral import random_mean_zero_field
 
 import full_layout as fl

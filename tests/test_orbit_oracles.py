@@ -33,11 +33,8 @@ from torus_euler import (
 )
 import torus_euler
 from torus_euler import eigenstate, verify
-from torus_euler.eigenstate import (
-    _cell_coords,
-    _LpObjective,
-    circ_dist,
-)
+from torus_euler.coeffs import circ_dist
+from torus_euler.eigenstate import _cell_coords, _LpObjective
 from torus_euler.euler import band_limited_perturbation
 
 import full_layout as fl

@@ -19,15 +19,16 @@ EXPORTS = {
     "spectral": ["Grid", "RealField", "SpectralField", "analyze", "casimir", "energy",
                  "energy_enstrophy_gap", "enstrophy", "green_apply", "laplacian_apply",
                  "lp_norm", "modes", "sample_points", "synthesize", "velocity_from_vorticity"],
-    "eigenstate": ["EigenstateCoeffs", "OrbitInvariant", "orbit_distance", "orbit_invariant",
-                   "project_to_e1", "same_orbit", "solve_translation",
+    "coeffs": ["EigenstateCoeffs", "OrbitInvariant", "format_coeffs", "orbit_invariant",
+               "parse_coeffs", "same_orbit"],
+    "eigenstate": ["orbit_distance", "project_to_e1", "solve_translation",
                    "synthesize_eigenstate", "translate_coeffs"],
     "census": ["MomentData", "OrbitCensus", "back_substitute", "enumerate_candidates",
                "moment_bracket", "moment_data", "moments_quadrature_oracle", "orbit_census",
                "reduce_to_cubic", "solve_cubic"],
     "euler": ["Diagnostics", "SolverConfig", "SolverState", "admissibility_check", "rhs",
               "run", "stability_ensemble", "stability_experiment", "step"],
-    "io": ["format_coeffs", "parse_coeffs", "read_torf", "write_torf"],
+    "io": ["read_torf", "write_torf"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
