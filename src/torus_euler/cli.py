@@ -1,9 +1,9 @@
 """Command-line interface: lattice reports, censuses, simulations, verification.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification failure.  Each command imports the modules it uses, so the
-lattice and census commands never load the solver, and ``census`` and
-``eigenspace`` never load numpy.
+4 verification failure.  Each command imports the modules it uses, and this
+is the one module that imports its siblings inside functions: the lattice
+and census commands load neither the solver, nor numpy, nor ``manifest``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import NumericalBlowup, TorusEulerError
+from .errors import ManifestError, NumericalBlowup, TorusEulerError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,9 +32,23 @@ def _fmt_vec(v) -> str:
     return f"({v[0]:+.12g}, {v[1]:+.12g})"
 
 
+# Output file names, by snapshot time and by epsilon and seed.
+_SNAPSHOT_NAME, _STABILITY_NAME = "snapshot_t{:g}.torf", "stability_eps{:g}_seed{}.csv"
+
+
+def _refuse_shared_names(kind: str, values, name) -> None:
+    """Refuse two values whose outputs get one file name, of which the last
+    would overwrite the other."""
+    seen = {}
+    for value in values:
+        path = name(value)
+        if path in seen:
+            raise ManifestError(f"{kind} {seen[path]!r} and {value!r} would both write {path}")
+        seen[path] = value
+
+
 def cmd_lattice_info(args) -> int:
-    from .lattice import classify_eigenspace, dual_basis, shortest_vectors
-    from .manifest import lattice_basis
+    from .lattice import classify_eigenspace, dual_basis, lattice_basis, shortest_vectors
 
     basis = lattice_basis(args.preset, args.xi, args.eta)
     db = dual_basis(basis)
@@ -54,8 +68,7 @@ def cmd_lattice_info(args) -> int:
 
 
 def cmd_eigenspace(args) -> int:
-    from .lattice import classify_eigenspace
-    from .manifest import lattice_basis
+    from .lattice import classify_eigenspace, lattice_basis
 
     basis = lattice_basis(args.preset, args.xi, args.eta)
     info = classify_eigenspace(basis)
@@ -72,8 +85,7 @@ def cmd_eigenspace(args) -> int:
 def cmd_census(args) -> int:
     from .census import CENSUS_BOUNDS, linf_datum, orbit_census
     from .coeffs import orbit_invariant, parse_coeffs, same_orbit
-    from .lattice import classify_eigenspace
-    from .manifest import lattice_basis
+    from .lattice import classify_eigenspace, lattice_basis
 
     basis = lattice_basis(args.preset, args.xi, args.eta)
     info = classify_eigenspace(basis)
@@ -101,7 +113,7 @@ def cmd_simulate(args) -> int:
     from .eigenstate import synthesize_eigenstate
     from .euler import run
     from .io import write_torf
-    from .manifest import ExperimentManifest, ManifestError
+    from .manifest import ExperimentManifest
 
     man = ExperimentManifest.from_file(args.manifest)
     for key in ("epsilons", "seeds"):
@@ -109,6 +121,9 @@ def cmd_simulate(args) -> int:
             raise ManifestError(f"[experiment] {key} is not used by simulate, which runs "
                                 "the unperturbed eigenstate; stability runs perturbed ones")
     config = man.solver_config()
+    # run() takes each snapshot at the step nearest its time, and reports that step's time
+    _refuse_shared_names("snapshot times", config.snapshot_times,
+                         lambda ts: _SNAPSHOT_NAME.format(round(ts / config.dt) * config.dt))
     reference = man.reference_coeffs()
     omega0 = synthesize_eigenstate(reference, config.grid)
     outdir = Path(args.output or man.output_dir)
@@ -116,7 +131,7 @@ def cmd_simulate(args) -> int:
     snapshots, diag = run(config, omega0, target=reference, p_norm=man.p_norm,
                           meta={"manifest": Path(args.manifest).name})
     for t, field in snapshots:
-        write_torf(field, outdir / f"snapshot_t{t:g}.torf")
+        write_torf(field, outdir / _SNAPSHOT_NAME.format(t))
     csv_path = outdir / "diagnostics.csv"
     with open(csv_path, "w") as fh:
         diag.to_csv(fh)
@@ -133,8 +148,9 @@ def cmd_stability(args) -> int:
     import dataclasses
     from pathlib import Path
 
+    from .coeffs import record_values
     from .euler import stability_ensemble
-    from .manifest import ExperimentManifest, ManifestError, record_values
+    from .manifest import ExperimentManifest
 
     if args.manifest:
         given = [f for f in _PROBLEM_FLAGS
@@ -162,6 +178,9 @@ def cmd_stability(args) -> int:
                               seeds=tuple(args.seed or man.seeds))
     if not man.epsilons or not man.seeds:
         raise ManifestError("need at least one epsilon and one seed")
+    _refuse_shared_names("the epsilon, seed pairs",
+                         [(eps, seed) for eps in man.epsilons for seed in man.seeds],
+                         lambda job: _STABILITY_NAME.format(*job))
     # a bad reference, seed, t_end, snapshot time or worker cap, and a grid too
     # coarse for the reference or its perturbation band, fail before any output
     results = stability_ensemble(man.reference_coeffs(), man.epsilons, man.seeds,
@@ -169,7 +188,7 @@ def cmd_stability(args) -> int:
     outdir = Path(args.output or man.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for diag in results:
-        path = outdir / f"stability_eps{diag.meta['epsilon']:g}_seed{diag.meta['seed']}.csv"
+        path = outdir / _STABILITY_NAME.format(diag.meta["epsilon"], diag.meta["seed"])
         with open(path, "w") as fh:
             diag.to_csv(fh)
         print(f"wrote {path}")

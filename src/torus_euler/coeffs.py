@@ -3,8 +3,9 @@
 A state is w(x) = sum_i A_i cos(2 pi k_i . x + alpha_i) over one wavevector
 per antipodal pair of shortest dual vectors.  Translating the torus only
 shifts the phases, so orbit membership reduces to amplitude equality plus,
-in the six-dimensional case, one scalar phase invariant.  Everything here is
-scalar Python, so that a census and the ``census`` command load no numpy.
+in the six-dimensional case, one scalar phase invariant.  The one-line record
+format lives here too.  Everything here is scalar Python and imports only
+``errors`` and ``lattice``, so that a census loads neither numpy nor ``manifest``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import MixedEigenspace
 from .lattice import EigenspaceInfo
-from .manifest import record_values
 
 __all__ = [
     "EigenstateCoeffs",
@@ -23,6 +23,7 @@ __all__ = [
     "orbit_invariant",
     "same_orbit",
     "format_coeffs",
+    "record_values",
     "parse_coeffs",
 ]
 
@@ -140,6 +141,13 @@ def format_coeffs(c: EigenstateCoeffs) -> str:
         parts.append(repr(float(a)))
         parts.append(repr(float(al)))
     return " ".join(parts)
+
+
+def record_values(line: str) -> tuple[float, ...]:
+    """The numbers of a coefficient record; an odd count leads with the integer dim."""
+    tokens = line.split()
+    head = (int(tokens.pop(0)),) if len(tokens) % 2 == 1 else ()
+    return head + tuple(float(t) for t in tokens)
 
 
 def parse_coeffs(record: str | tuple[float, ...], info: EigenspaceInfo) -> EigenstateCoeffs:

@@ -5,6 +5,11 @@ class TorusEulerError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ManifestError(ValueError):
+    """Malformed or inconsistent manifest content, or a command line that
+    breaks the same rules."""
+
+
 class DegenerateBasis(TorusEulerError):
     """Lattice generators are (numerically) linearly dependent."""
 

@@ -4,9 +4,10 @@ A torus is the plane modulo the lattice spanned by two generators
 ``xi`` and ``eta``.  Everything downstream (Fourier modes, Laplacian
 eigenvalues, the first eigenspace) is driven by the dual lattice, so this
 module provides the dual basis, the Gram form of the dual, the set of
-shortest nonzero dual vectors, and the resulting first-eigenspace data.
-Only the helpers that return arrays (the ``matrix`` properties, ``gram_dual``
-and ``shortest_vectors``) load numpy; classifying an eigenspace needs none.
+shortest nonzero dual vectors, the resulting first-eigenspace data, and
+the one rule by which a manifest or a command names its torus
+(``lattice_basis``).  Only the ``matrix`` properties, and so ``gram_dual``,
+load numpy; the shell and the classification are scalar Python.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateBasis, InternalInvariant
+from .errors import DegenerateBasis, InternalInvariant, ManifestError
 
 __all__ = [
     "LatticeBasis",
@@ -27,6 +28,7 @@ __all__ = [
     "shortest_vectors",
     "classify_eigenspace",
     "preset_basis",
+    "lattice_basis",
     "PRESET_NAMES",
 ]
 
@@ -63,7 +65,8 @@ class LatticeBasis:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "eta", eta)
         scale = max(math.hypot(*xi), math.hypot(*eta))
-        if not math.isfinite(scale) or scale == 0.0:
+        # max() returns its first argument when the second is NaN: test each one
+        if not all(map(math.isfinite, (*xi, *eta, scale))) or scale == 0.0:
             raise DegenerateBasis("zero or non-finite generator")
         xs, es, e = unit_scaled(xi, eta)
         unit = math.ldexp(scale, -e)
@@ -120,20 +123,17 @@ class ShortestVectorSet:
     """All dual-lattice vectors of minimal nonzero length.
 
     ``vectors`` is closed under negation.  ``coords`` gives the integer
-    coordinates of each vector in the (xi*, eta*) basis.  ``representatives``
-    keeps one canonically signed member per antipodal pair, sorted by
+    coordinates of each vector in the (xi*, eta*) basis; both are sorted by
     coordinates.
     """
 
     rho: float
-    vectors: np.ndarray          # (size, 2) float
-    coords: np.ndarray           # (size, 2) int
-    representatives: np.ndarray  # (size//2, 2) float
-    rep_coords: np.ndarray       # (size//2, 2) int
+    vectors: tuple[tuple[float, float], ...]
+    coords: tuple[tuple[int, int], ...]
 
     @property
     def size(self) -> int:
-        return self.vectors.shape[0]
+        return len(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -247,16 +247,8 @@ def _shell(db: DualBasis):
 
 def shortest_vectors(basis: LatticeBasis) -> ShortestVectorSet:
     """All dual vectors of minimal nonzero length, with integer coordinates."""
-    import numpy as np
-
-    rho, shell, reps = _shell(dual_basis(basis))
-    return ShortestVectorSet(
-        rho=rho,
-        vectors=np.array([v for _, v in shell], dtype=float),
-        coords=np.array([c for c, _ in shell], dtype=np.int64),
-        representatives=np.array([v for _, v in reps], dtype=float),
-        rep_coords=np.array([c for c, _ in reps], dtype=np.int64),
-    )
+    rho, shell, _ = _shell(dual_basis(basis))
+    return ShortestVectorSet(rho, tuple(v for _, v in shell), tuple(c for c, _ in shell))
 
 
 def _hexagonal_order(shell, reps):
@@ -312,3 +304,13 @@ def preset_basis(name: str) -> LatticeBasis:
             raise ValueError(f"rectangular height must be positive, got {h}")
         return LatticeBasis((tau, 0.0), (0.0, h))
     raise ValueError(f"unknown lattice preset {name!r}; try one of {PRESET_NAMES}")
+
+
+def lattice_basis(preset: str | None, xi, eta) -> LatticeBasis:
+    """The torus of a manifest or of the command line: a preset, or both
+    generators xi and eta, not both."""
+    if preset is not None and (xi is not None or eta is not None):
+        raise ManifestError("give a lattice preset or the generators xi and eta, not both")
+    if preset is None and (xi is None or eta is None):
+        raise ManifestError("a lattice needs a preset or both generators xi and eta")
+    return preset_basis(preset) if preset is not None else LatticeBasis(tuple(xi), tuple(eta))

@@ -1,4 +1,8 @@
-"""Plain-text experiment manifests: flat key = value pairs in four sections."""
+"""Plain-text experiment manifests: flat key = value pairs in four sections.
+
+Only ``simulate`` and ``stability`` read a manifest, and both run the
+solver, so this module loads it (and numpy) at import time.
+"""
 
 from __future__ import annotations
 
@@ -7,30 +11,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .lattice import LatticeBasis, classify_eigenspace, preset_basis
+from .coeffs import EigenstateCoeffs, parse_coeffs, record_values
+from .errors import ManifestError
+from .euler import SolverConfig
+from .lattice import LatticeBasis, classify_eigenspace, lattice_basis
+from .spectral import Grid
 
-__all__ = ["ExperimentManifest", "ManifestError", "lattice_basis", "record_values"]
-
-
-class ManifestError(ValueError):
-    """Malformed or inconsistent manifest content."""
-
-
-def lattice_basis(preset: str | None, xi, eta) -> LatticeBasis:
-    """The torus of a manifest or of the command line: a preset, or both
-    generators xi and eta, not both."""
-    if preset is not None and (xi is not None or eta is not None):
-        raise ManifestError("give a lattice preset or the generators xi and eta, not both")
-    if preset is None and (xi is None or eta is None):
-        raise ManifestError("a lattice needs a preset or both generators xi and eta")
-    return preset_basis(preset) if preset is not None else LatticeBasis(tuple(xi), tuple(eta))
-
-
-def record_values(line: str) -> tuple[float, ...]:
-    """The numbers of a coefficient record; an odd count leads with the integer dim."""
-    tokens = line.split()
-    head = (int(tokens.pop(0)),) if len(tokens) % 2 == 1 else ()
-    return head + tuple(float(t) for t in tokens)
+__all__ = ["ExperimentManifest", "ManifestError"]
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -112,13 +99,9 @@ class ExperimentManifest:
         return lattice_basis(self.preset, self.xi, self.eta)
 
     def grid(self) -> Grid:
-        from .spectral import Grid
-
         return Grid(self.basis(), self.n1, self.n2)
 
     def solver_config(self) -> SolverConfig:
-        from .euler import SolverConfig  # the solver loads only for the commands that run it
-
         return SolverConfig(
             grid=self.grid(),
             dt=self.dt,
@@ -128,8 +111,6 @@ class ExperimentManifest:
         )
 
     def reference_coeffs(self) -> EigenstateCoeffs:
-        from .coeffs import parse_coeffs  # coeffs imports this module
-
         try:
             return parse_coeffs(self.reference, classify_eigenspace(self.basis()))
         except ValueError as exc:

@@ -120,8 +120,7 @@ def check_golden_lattice_presets() -> CheckResult:
     errs.append(abs(sv.rho - 1.0 / (math.sqrt(3.0) * math.pi)))
     db = lat.dual_basis(hx_basis)
     expect = {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
-    got = {tuple(c) for c in sv.coords.tolist()}
-    errs.append(0.0 if got == expect else 1.0)
+    errs.append(0.0 if set(sv.coords) == expect else 1.0)
     for v, c in zip(sv.vectors, sv.coords):
         ref = c[0] * np.array(db.xi_star) + c[1] * np.array(db.eta_star)
         errs.append(float(np.max(np.abs(v - ref))))
@@ -157,19 +156,20 @@ def check_shortest_vector_geometry() -> CheckResult:
         if sv.size not in (2, 4, 6):
             problems.append(f"case {i}: size {sv.size}")
             continue
-        vecs = {tuple(np.round(v, 12)) for v in sv.vectors}
-        if not all(tuple(np.round(-np.asarray(v), 12)) in vecs for v in sv.vectors):
+        shell = np.array(sv.vectors)
+        vecs = {tuple(np.round(v, 12)) for v in shell}
+        if not all(tuple(np.round(-v, 12)) in vecs for v in shell):
             problems.append(f"case {i}: not negation-closed")
         for j in range(sv.size):
             for k in range(j + 1, sv.size):
-                u, v = sv.vectors[j], sv.vectors[k]
+                u, v = shell[j], shell[k]
                 if np.max(np.abs(u + v)) < 1e-12 * sv.rho:
                     continue
                 cosang = float(u @ v) / (sv.rho * sv.rho)
                 if math.acos(min(max(cosang, -1.0), 1.0)) < math.pi / 3 - 1e-9:
                     problems.append(f"case {i}: angle below pi/3")
         if sv.size == 6:
-            angles = np.sort(np.arctan2(sv.vectors[:, 1], sv.vectors[:, 0]))
+            angles = np.sort(np.arctan2(shell[:, 1], shell[:, 0]))
             gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]]))
             if np.max(np.abs(gaps - math.pi / 3)) > 1e-9:
                 problems.append(f"case {i}: irregular hexagon")

@@ -115,6 +115,19 @@ def test_a_non_finite_generator_is_a_torus_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("lattice", [
+    ["--xi", "nan", "0", "--eta", "0", "1"], ["--xi", "1", "nan", "--eta", "0", "1"],
+    ["--xi", "1", "0", "--eta", "nan", "1"], ["--xi", "1", "0", "--eta", "0", "nan"],
+    ["--preset", "rectangular:nan"],
+], ids=["xi1", "xi2", "eta1", "eta2", "preset"])
+@pytest.mark.parametrize("command", ["lattice-info", "eigenspace"])
+def test_a_nan_in_any_generator_component_is_a_torus_error(capsys, command, lattice):
+    code, out, err = run_cli(capsys, command, *lattice)
+    assert code == 2
+    assert err == "error: zero or non-finite generator\n"
+    assert out == ""
+
+
 def test_a_missing_manifest_is_an_io_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "simulate", "--manifest", str(tmp_path / "none.ini"))
     assert code == 2
@@ -474,6 +487,43 @@ def test_unhonourable_snapshots_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("ran a job")
+
+
+@pytest.mark.parametrize("jobs, clash", [
+    (["--eps", "0.001", "--eps", "0.0010000001", "--seed", "1"],
+     "(0.001, 1) and (0.0010000001, 1) would both write stability_eps0.001_seed1.csv"),
+    (["--eps", "0.01", "--eps", "0.01", "--seed", "1"],
+     "(0.01, 1) and (0.01, 1) would both write stability_eps0.01_seed1.csv"),
+    (["--eps", "0.01", "--seed", "3", "--seed", "3"],
+     "(0.01, 3) and (0.01, 3) would both write stability_eps0.01_seed3.csv"),
+], ids=["eps-g", "eps-repeated", "seed-repeated"])
+def test_stability_refuses_jobs_that_share_an_output_name(tmp_path, capsys, monkeypatch,
+                                                           jobs, clash):
+    monkeypatch.setattr("torus_euler.euler.stability_ensemble", _never)
+    outdir = tmp_path / "never"
+    code, out, err = run_cli(
+        capsys, "stability", "--preset", "square", "--coeffs", "1 0 1 0",
+        "--resolution", "32", "--dt", "0.01", "--t-end", "0.02", *jobs,
+        "--output", str(outdir))
+    assert code == 2
+    assert err == f"configuration error: the epsilon, seed pairs {clash}\n"
+    assert out == "" and not outdir.exists()
+
+
+def test_simulate_refuses_snapshot_times_that_share_an_output_name(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr("torus_euler.euler.run", _never)
+    path = _small_manifest(tmp_path, n1=16, n2=16, dt=1e-7, t_end=1.0000002,
+                           snapshot_times=(1.0000001, 1.0000002), epsilons=(), seeds=())
+    code, out, err = run_cli(capsys, "simulate", "--manifest", str(path))
+    assert code == 2
+    assert err == ("configuration error: snapshot times 1.0000001 and 1.0000002 "
+                   "would both write snapshot_t1.torf\n")
+    assert out == "" and not (tmp_path / "out").exists()
+
+
 def test_fractional_step_count_exits_2_before_any_job(tmp_path, capsys):
     outdir = tmp_path / "never"
     code, _, err = run_cli(
@@ -731,8 +781,8 @@ def test_cli_import_leaves_verify_and_the_pool_unloaded():
     assert not lazy & _loaded("import torus_euler.cli")
 
 
-_LATTICE_INFO = {"cli", "errors", "lattice", "manifest"}
-_SOLVER = _LATTICE_INFO | {"coeffs", "eigenstate", "euler", "spectral"}
+_LATTICE_INFO = {"cli", "errors", "lattice"}
+_SOLVER = _LATTICE_INFO | {"coeffs", "eigenstate", "euler", "manifest", "spectral"}
 
 
 @pytest.mark.parametrize("code, modules, numpy", [
@@ -740,9 +790,9 @@ _SOLVER = _LATTICE_INFO | {"coeffs", "eigenstate", "euler", "spectral"}
     ("import torus_euler.cli", {"cli", "errors"}, False),
     ("import torus_euler.lattice", {"errors", "lattice"}, False),
     ("from torus_euler import lattice, census",
-     {"census", "coeffs", "errors", "lattice", "manifest"}, False),
+     {"census", "coeffs", "errors", "lattice"}, False),
     ("from torus_euler.cli import main; main(['lattice-info', '--preset', 'square'])",
-     _LATTICE_INFO, True),
+     _LATTICE_INFO, False),
     ("from torus_euler.cli import main; "
      "main(['census', '--preset', 'hexagonal', '--coeffs', '1 0 1 0 1 0'])",
      _LATTICE_INFO | {"census", "coeffs"}, False),
@@ -758,8 +808,8 @@ _SOLVER = _LATTICE_INFO | {"coeffs", "eigenstate", "euler", "spectral"}
 def test_each_entry_point_loads_only_what_it_uses(tmp_path, code, modules, numpy):
     """Lattice and census work never loads the Euler solver, and neither the
     package nor the CLI loads a submodule or numpy before a command runs.
-    Only lattice-info, for its shortest-vector arrays, and the solver commands
-    load numpy.  The solver commands run a hexagonal 16^2 manifest for one step."""
+    Only the solver commands load numpy and ``manifest``.  They run a
+    hexagonal 16^2 manifest for one step."""
     manifest = _small_manifest(tmp_path, n1=16, n2=16, dt=0.01, t_end=0.01,
                                epsilons=(), seeds=())
     loaded = _loaded(code.format(manifest=str(manifest), out=str(tmp_path / "out")))
@@ -794,14 +844,17 @@ for dim, (xi, eta) in tori.items():
 assert main(['census', '--xi', '1', '0.2', '--eta', '-0.3', '1.5', '--coeffs', '1 0.5']) == 0
 assert main(['census', '--preset', 'hexagonal', '--coeffs', '1 0.7 0.3 0.4 1.1 2.0']) == 0
 assert main(['eigenspace', '--preset', 'hexagonal']) == 0
+assert main(['lattice-info', '--xi', '1', '0.3', '--eta', '-0.2', '2']) == 0
 """
 
 
 def test_census_queries_and_commands_never_load_numpy():
     """The census is scalar Python, and so is the path to it: classifying the
-    torus, building and parsing coefficient records, and the census and
-    eigenspace commands.  A fresh interpreter that runs them holds no numpy."""
-    assert "numpy" not in _loaded(_CENSUS_QUERIES.strip())
+    torus, building and parsing coefficient records, and the census,
+    eigenspace and lattice-info commands.  A fresh interpreter that runs them
+    holds neither numpy nor the manifest reader and its configparser."""
+    loaded = _loaded(_CENSUS_QUERIES.strip())
+    assert not {"numpy", "torus_euler.manifest", "configparser"} & loaded
 
 
 def test_stability_without_coeffs_or_a_manifest_is_config_error(tmp_path, capsys):

@@ -98,10 +98,10 @@ def test_shortest_vector_check_sees_a_turned_hexagon_vector(monkeypatch):
         if sv.size != 6:
             return sv
         # turn vector 0 and its antipode, so that the shell stays closed under negation
-        vecs = sv.vectors.copy()
+        vecs = np.array(sv.vectors)
         j = int(np.argmin(np.abs(vecs + vecs[0]).sum(axis=1)))
         vecs[[0, j]] = vecs[[0, j]] @ turn.T
-        return dataclasses.replace(sv, vectors=vecs)
+        return dataclasses.replace(sv, vectors=tuple(map(tuple, vecs.tolist())))
 
     monkeypatch.setattr(lattice, "shortest_vectors", turned)
     result = check_shortest_vector_geometry()
