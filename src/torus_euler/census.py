@@ -353,8 +353,8 @@ def _amplitude_orderings(amps: tuple[float, ...]) -> list[tuple[float, ...]]:
     for prev, i in zip(order, order[1:]):
         label[i] = label[prev] + (amps[i] - amps[prev] > DEFAULT_ORBIT_TOL)
     kept: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for perm in itertools.permutations(range(len(amps))):
-        kept.setdefault(tuple(label[i] for i in perm), tuple(amps[i] for i in perm))
+    for key, ordering in zip(itertools.permutations(label), itertools.permutations(amps)):
+        kept.setdefault(key, ordering)
     return sorted(kept.values())
 
 
@@ -373,28 +373,32 @@ def orbit_census(reference: EigenstateCoeffs) -> OrbitCensus:
     The list is a superset of the orbits actually equimeasurable with the
     reference (moments of the computed orders are necessary conditions),
     bounded by 1, 2, or 12 according to the eigenspace dimension, and is
-    checked to contain the reference's own orbit.
+    checked to contain the reference's own orbit: the reference is a translate
+    of the representative with its own amplitudes, which ``_amplitude_orderings``
+    keeps as they are, and the first phase branch, so that one is compared.
 
     The representatives are built without re-validation from the validated
     reference: its amplitudes, and branch phases wrapped as the public
     constructor wraps them, 0.0 wherever the amplitude is 0.
     """
-    info = reference.info
-    branches = [(0.0,) * info.npairs]
+    info, amps = reference.info, reference.amps
+    orderings = _amplitude_orderings(amps)
     if info.dim == 6:
         theta = _theta(reference)
-        a1, a2, a3 = reference.amps
-        branches = [(0.0, 0.0, _wrap_phase(-theta))]
-        if a1 * a2 * a3 > DEFAULT_ORBIT_TOL and circ_dist(theta, -theta) > DEFAULT_ORBIT_TOL:
-            branches.append((0.0, 0.0, _wrap_phase(theta)))
-    reps = tuple(
-        EigenstateCoeffs._trusted(
-            info, amps, tuple(p if a > 0 else 0.0 for a, p in zip(amps, phases)))
-        for amps in _amplitude_orderings(reference.amps) for phases in branches)
+        turns = [_wrap_phase(-theta)]
+        if (amps[0] * amps[1] * amps[2] > DEFAULT_ORBIT_TOL
+                and circ_dist(theta, -theta) > DEFAULT_ORBIT_TOL):
+            turns.append(_wrap_phase(theta))
+        reps = tuple(EigenstateCoeffs._trusted(info, o, (0.0, 0.0, t if o[2] > 0 else 0.0))
+                     for o in orderings for t in turns)
+    else:
+        zeros = (0.0,) * info.npairs
+        reps = tuple(EigenstateCoeffs._trusted(info, o, zeros) for o in orderings)
     if len(reps) > CENSUS_BOUNDS[info.dim]:
         raise InternalInvariant(
             f"census of size {len(reps)} exceeds bound {CENSUS_BOUNDS[info.dim]}"
         )
-    if not any(same_orbit(reference, r) for r in reps):
+    if amps not in orderings or not same_orbit(
+            reference, reps[orderings.index(amps) * len(reps) // len(orderings)]):
         raise InconsistentMoments("reference state is missing from its own census")
     return OrbitCensus(info.dim, reps, len(reps))

@@ -256,6 +256,16 @@ class _LpObjective:
         self.p = p_norm
         self.power = int(p_norm) if float(p_norm).is_integer() else None
         self.cell = grid.cell
+        # ``local``'s rotation [[diag cos, diag sin], [-diag sin, diag cos]], with
+        # views of its diagonals: both cos blocks, the sin block, the -sin block.
+        # -diag(sin) has -0.0 off its diagonal, so the products keep their signs.
+        k = self.npairs
+        self.rot = np.zeros((2 * k, 2 * k))
+        self.rot[k:, :k] = -0.0
+        flat = self.rot.reshape(-1)
+        self.rot_cos = flat[::2 * k + 1]
+        self.rot_sin = flat[k:2 * k * k:2 * k + 1]
+        self.rot_neg_sin = flat[2 * k * k::2 * k + 1]
 
     def value(self, st: np.ndarray) -> float:
         d = self.freq @ st
@@ -274,8 +284,11 @@ class _LpObjective:
         """
         k, p = self.npairs, self.p
         d = self.freq @ st
-        cos, sin = np.diag(np.cos(d)), np.diag(np.sin(d))
-        uv = np.block([[cos, sin], [-sin, cos]]) @ self.parts  # U_1..U_k, V_1..V_k
+        cos, sin = np.cos(d), np.sin(d)
+        self.rot_cos[:k] = self.rot_cos[k:] = cos
+        self.rot_sin[:] = sin
+        np.negative(sin, out=self.rot_neg_sin)
+        uv = self.rot @ self.parts  # U_1..U_k, V_1..V_k
         r = self.samples - uv[:k].sum(axis=0)
         a = np.abs(r)
         if self.power and self.power > 2:

@@ -179,36 +179,37 @@ def gram_dual(basis: LatticeBasis) -> np.ndarray:
     return db @ db.T
 
 
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1]
-
-
 def _lagrange_gauss(b0, b1):
     """Reduce a 2D basis (b0, b1) so |b0| <= |b1| and |b0.b1| <= |b0|^2/2.
 
     Returns the reduced pair and the unimodular integer rows (u0, u1) with
     reduced = (u0 . (b0, b1), u1 . (b0, b1)).  Terminates because each
-    shear strictly shrinks b1.
+    shear strictly shrinks b1.  The squared norms n0, n1 travel with b0, b1.
     """
     u0, u1 = (1, 0), (0, 1)
+    n0 = b0[0] * b0[0] + b0[1] * b0[1]
+    n1 = b1[0] * b1[0] + b1[1] * b1[1]
     for _ in range(256):
-        if _dot(b0, b0) > _dot(b1, b1):
-            b0, b1, u0, u1 = b1, b0, u1, u0
-        mu = round(_dot(b0, b1) / _dot(b0, b0))
+        if n0 > n1:
+            b0, b1, n0, n1, u0, u1 = b1, b0, n1, n0, u1, u0
+        mu = round((b0[0] * b1[0] + b0[1] * b1[1]) / n0)
         if mu == 0:
             return (b0, b1), (u0, u1)
         new = (b1[0] - mu * b0[0], b1[1] - mu * b0[1])
-        if _dot(new, new) >= _dot(b1, b1):
+        n_new = new[0] * new[0] + new[1] * new[1]
+        if n_new >= n1:
             # rounding tie (e.g. an exactly hexagonal dual); basis is already
             # reduced up to ulps, which the enumeration window absorbs
             return (b0, b1), (u0, u1)
-        b1 = new
+        b1, n1 = new, n_new
         u1 = (u1[0] - mu * u0[0], u1[1] - mu * u0[1])
     raise InternalInvariant("lattice reduction did not terminate")
 
 
-# One of each antipodal pair of nonzero coefficient pairs in [-2, 2]^2.
-_HALF_WINDOW = tuple((m, n) for m in range(3) for n in range(-2, 3) if m > 0 or n > 0)
+# One of each antipodal pair of nonzero coefficient pairs in [-1, 1]^2:
+# (0, 1), (1, -1), (1, 0), (1, 1).  ``_shell`` says why no shortest vector
+# lies outside.
+_HALF_WINDOW = tuple((m, n) for m in range(2) for n in range(-1, 2) if m > 0 or n > 0)
 
 
 def _shell(db: DualBasis):
@@ -216,10 +217,13 @@ def _shell(db: DualBasis):
     integer coordinates in the (xi*, eta*) basis, plus the canonically signed
     representatives, one per antipodal pair, in the same order.
 
-    The dual basis is Lagrange-Gauss reduced first, after which every
-    shortest vector has coefficients in [-2, 2]^2 with respect to the
-    reduced pair; enumerating that window is exact regardless of how
-    skewed the user-supplied basis is.  Lengths are taken on one half of
+    The dual basis is Lagrange-Gauss reduced first, to (b0, b1) with
+    |b0| <= |b1| and |b0.b1| <= |b0|^2/2 up to ulps.  Then for integers m, n
+    |m b0 + n b1|^2 >= (m^2 - |m n| + n^2) |b0|^2, and m^2 - |m n| + n^2 >= 3
+    whenever max(|m|, |n|) >= 2.  So every vector outside the window [-1, 1]^2
+    is at least sqrt(3) times longer than b0, far beyond the SHELL_TIE_RTOL
+    cut above rho <= |b0|, and enumerating that window is exact regardless of
+    how skewed the user-supplied basis is.  Lengths are taken on one half of
     the window; each shell member's antipode is recomputed from (-m, -n)
     rather than negated, so a component that cancels to 0.0 stays 0.0.
     """

@@ -20,8 +20,8 @@ from torus_euler import (
     same_orbit,
     solve_cubic,
 )
-from torus_euler.census import (CENSUS_BOUNDS, TRIPLE_DEDUP, MomentData, _polish, forward_moments,
-                                linf_datum)
+from torus_euler.census import (CENSUS_BOUNDS, TRIPLE_DEDUP, MomentData, OrbitCensus, _polish,
+                                forward_moments, linf_datum)
 from torus_euler.coeffs import DEFAULT_ORBIT_TOL
 from torus_euler.lattice import LatticeBasis, classify_eigenspace
 
@@ -499,3 +499,155 @@ def test_census_at_degenerate_amplitudes(hex_info, amps, phases, count):
     for i, r in enumerate(out.representatives):
         assert sorted(r.amps) == sorted(ref.amps)
         assert not any(same_orbit(r, o) for o in out.representatives[i + 1:])
+
+
+# ---------------------------------------------------------------------------
+# the census as it was, before it built the phases directly and compared the
+# reference with one representative, kept as a bit-for-bit oracle
+
+
+def _amplitude_orderings_oracle(amps):
+    order = sorted(range(len(amps)), key=amps.__getitem__)
+    label = [0] * len(amps)
+    for prev, i in zip(order, order[1:]):
+        label[i] = label[prev] + (amps[i] - amps[prev] > DEFAULT_ORBIT_TOL)
+    kept = {}
+    for perm in itertools.permutations(range(len(amps))):
+        kept.setdefault(tuple(label[i] for i in perm), tuple(amps[i] for i in perm))
+    return sorted(kept.values())
+
+
+def _census_oracle(reference):
+    """The census from label-tuple orderings, per-branch phase tuples with the
+    zero-amplitude rule, and ``any(same_orbit)`` over all representatives."""
+    from torus_euler.coeffs import _theta, _wrap_phase, circ_dist
+
+    info = reference.info
+    branches = [(0.0,) * info.npairs]
+    if info.dim == 6:
+        theta = _theta(reference)
+        a1, a2, a3 = reference.amps
+        branches = [(0.0, 0.0, _wrap_phase(-theta))]
+        if a1 * a2 * a3 > DEFAULT_ORBIT_TOL and circ_dist(theta, -theta) > DEFAULT_ORBIT_TOL:
+            branches.append((0.0, 0.0, _wrap_phase(theta)))
+    reps = tuple(
+        EigenstateCoeffs._trusted(
+            info, amps, tuple(p if a > 0 else 0.0 for a, p in zip(amps, phases)))
+        for amps in _amplitude_orderings_oracle(reference.amps) for phases in branches)
+    if len(reps) > CENSUS_BOUNDS[info.dim]:
+        raise InternalInvariant(
+            f"census of size {len(reps)} exceeds bound {CENSUS_BOUNDS[info.dim]}"
+        )
+    if not any(same_orbit(reference, r) for r in reps):
+        raise InconsistentMoments("reference state is missing from its own census")
+    return OrbitCensus(info.dim, reps, len(reps))
+
+
+def _census_bits(reference, census=orbit_census):
+    try:
+        out = census(reference)
+    except (InconsistentMoments, InternalInvariant) as e:
+        return type(e).__name__
+    assert all(r.info is reference.info for r in out.representatives)
+    return [out.dim, out.count] + [_hex_bits(r) for r in out.representatives]
+
+
+def _mixed_reference(rng, dim):
+    """A query as the census benchmark makes them: a fresh turned, scaled,
+    sheared torus and amplitudes in [0.1, 2), with the benchmark's 1 % spacing
+    left out, so that close amplitudes occur too."""
+    info = classify_eigenspace(_turned_sheared_basis(rng, dim))
+    n = dim // 2
+    return EigenstateCoeffs(info, tuple(rng.uniform(0.1, 2.0, n)),
+                            tuple(rng.uniform(0.0, 2.0 * math.pi, n)))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_census_matches_its_oracle_bit_for_bit_on_mixed_queries(dim):
+    rng = np.random.default_rng(1100 + dim)
+    for _ in range(3000):
+        ref = _mixed_reference(rng, dim)
+        assert _census_bits(ref) == _census_bits(ref, _census_oracle)
+
+
+def _degenerate_references(rng, info):
+    """Zero amplitudes, ties within the orbit tolerance, theta at 0 and pi,
+    and amplitude products below the tolerance, alone and combined."""
+    n = info.npairs
+    ties = [0.0, 3e-9, -7e-9, 0.5 * DEFAULT_ORBIT_TOL, DEFAULT_ORBIT_TOL, 2e-8]
+    for i in range(600):
+        amps = rng.uniform(0.1, 2.0, n)
+        phases = rng.uniform(0.0, 2.0 * math.pi, n)
+        if i % 2 and n > 1:
+            amps[rng.integers(n)] = 0.0
+        if i % 3 and n > 1:
+            j, k = rng.choice(n, 2, replace=False)
+            amps[k] = abs(amps[j] + rng.choice(ties))
+        if n == 3 and i % 4 < 2:
+            phases[2] = phases[0] + phases[1] - rng.choice([0.0, math.pi, -math.pi])
+        if n == 3 and i % 5 == 0:
+            amps = amps * rng.choice([1e-3, 2e-3, 5e-3])  # A1 A2 A3 below 1e-8
+        yield EigenstateCoeffs(info, tuple(amps), tuple(phases))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_census_matches_its_oracle_bit_for_bit_at_degenerate_references(dim):
+    rng = np.random.default_rng(1200 + dim)
+    info = classify_eigenspace(_turned_sheared_basis(rng, dim))
+    small = 0
+    for ref in _degenerate_references(rng, info):
+        small += dim == 6 and math.prod(ref.amps) <= DEFAULT_ORBIT_TOL
+        assert _census_bits(ref) == _census_bits(ref, _census_oracle)
+    assert dim != 6 or small >= 100
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_census_compares_one_representative_and_validates_none(dim, monkeypatch):
+    """Work counts, not timings: one ``same_orbit`` call per census, and no
+    representative through the validating constructor."""
+    import torus_euler.census as cn
+
+    rng = np.random.default_rng(1300 + dim)
+    refs = [_mixed_reference(rng, dim) for _ in range(20)]
+    calls = {"same_orbit": 0, "__post_init__": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cn, "same_orbit", counted("same_orbit", cn.same_orbit))
+    monkeypatch.setattr(EigenstateCoeffs, "__post_init__",
+                        counted("__post_init__", EigenstateCoeffs.__post_init__))
+    for ref in refs:
+        out = cn.orbit_census(ref)
+        assert out.count >= 1
+    assert calls == {"same_orbit": len(refs), "__post_init__": 0}
+    EigenstateCoeffs(refs[0].info, refs[0].amps, refs[0].phases)  # the wrapper counts
+    assert calls["__post_init__"] == 1
+
+
+def test_census_own_orbit_check_sees_a_turned_phase(hex_info, monkeypatch):
+    """A branch phase 0.1 off moves the reference's own representative off its
+    orbit, which the one comparison catches."""
+    import torus_euler.census as cn
+
+    ref = EigenstateCoeffs(hex_info, (1.0, 0.5, 0.2), (0.3, 1.1, 2.0))
+    assert cn.orbit_census(ref).count == 12
+    wrap = cn._wrap_phase
+    monkeypatch.setattr(cn, "_wrap_phase", lambda a: wrap(a) + 0.1)
+    with pytest.raises(InconsistentMoments):
+        cn.orbit_census(ref)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_census_without_the_own_ordering_is_inconsistent_moments(dim, monkeypatch):
+    import torus_euler.census as cn
+
+    orderings = cn._amplitude_orderings
+    monkeypatch.setattr(cn, "_amplitude_orderings",
+                        lambda amps: [o for o in orderings(amps) if o != amps])
+    ref = _mixed_reference(np.random.default_rng(1400 + dim), dim)
+    with pytest.raises(InconsistentMoments):
+        cn.orbit_census(ref)

@@ -394,9 +394,31 @@ def _closed_form_dual(b: LatticeBasis) -> tuple:
             (math.ldexp(-xi[1] / d, -e), math.ldexp(xi[0] / d, -e)))
 
 
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _lagrange_gauss_oracle(b0, b1):
+    """``_lagrange_gauss`` as it was before it carried the squared norms."""
+    u0, u1 = (1, 0), (0, 1)
+    for _ in range(256):
+        if _dot(b0, b0) > _dot(b1, b1):
+            b0, b1, u0, u1 = b1, b0, u1, u0
+        mu = round(_dot(b0, b1) / _dot(b0, b0))
+        if mu == 0:
+            return (b0, b1), (u0, u1)
+        new = (b1[0] - mu * b0[0], b1[1] - mu * b0[1])
+        if _dot(new, new) >= _dot(b1, b1):
+            return (b0, b1), (u0, u1)
+        b1 = new
+        u1 = (u1[0] - mu * u0[0], u1[1] - mu * u0[1])
+    raise InternalInvariant("lattice reduction did not terminate")
+
+
 def _full_window_shell(db):
-    """``_shell`` on all 24 points of the [-2, 2]^2 window."""
-    (r0, r1), (u0, u1) = _lagrange_gauss(db.xi_star, db.eta_star)
+    """``_shell`` on all 24 points of the [-2, 2]^2 window, after the reduction
+    oracle: the 4-point half window is exact by the sqrt(3) bound in ``_shell``."""
+    (r0, r1), (u0, u1) = _lagrange_gauss_oracle(db.xi_star, db.eta_star)
     window = []
     for m in range(-2, 3):
         for n in range(-2, 3):
@@ -426,6 +448,14 @@ def test_half_window_shell_matches_full_window(name, dim):
     for b in [preset_basis(name)] + _sweep_bases(name, dim):
         db = dual_basis(b)
         assert _tree_bits(_shell(db)) == _tree_bits(_full_window_shell(db))
+
+
+@pytest.mark.parametrize("name,dim", _SWEEP)
+def test_reduction_matches_its_oracle_bit_for_bit(name, dim):
+    for b in [preset_basis(name)] + _sweep_bases(name, dim):
+        db = dual_basis(b)
+        assert (_tree_bits(_lagrange_gauss(db.xi_star, db.eta_star))
+                == _tree_bits(_lagrange_gauss_oracle(db.xi_star, db.eta_star)))
 
 
 @pytest.mark.parametrize("name,dim", _SWEEP)

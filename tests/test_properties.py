@@ -83,7 +83,7 @@ def test_rhs_forms_check_sees_a_flipped_multiplier(monkeypatch, term):
 
 
 def test_lattice_invariance_check_sees_a_skipped_reduction(monkeypatch):
-    # the [-2, 2]^2 window searched on the raw dual basis misses shortest
+    # the [-1, 1]^2 window searched on the raw dual basis misses shortest
     # vectors of skewed generators
     monkeypatch.setattr(lattice, "_lagrange_gauss", lambda b0, b1: ((b0, b1), ((1, 0), (0, 1))))
     assert not check_lattice_invariance().ok
